@@ -207,6 +207,22 @@ def map_batches(fn, n_samples: int, threads: int = 1) -> list:
         return list(pool.map(lambda r: fn(*r), ranges))
 
 
+def noise_slabs(gens, grid: TimeGrid, m: int):
+    """Yield the grid's N(0, dt) increments as (len(gens), S, m) slabs, S <= _SLAB_STEPS.
+
+    Row b of every slab continues the stream of ``gens[b]``, so a sample's
+    increments do not depend on which batch it is drawn in.
+    """
+    sqdt = math.sqrt(grid.dt)
+    for done in range(0, grid.N, _SLAB_STEPS):
+        S = min(_SLAB_STEPS, grid.N - done)
+        block = np.empty((len(gens), S, m))
+        for bi, g in enumerate(gens):
+            block[bi] = g.standard_normal((S, m))
+        block *= sqdt
+        yield block
+
+
 def brownian_sup_values(
     seed: int,
     grid: TimeGrid,
@@ -222,26 +238,17 @@ def brownian_sup_values(
     monotone-free (pure function of the node value) since it is applied
     slab by slab.
     """
-    sqdt = math.sqrt(grid.dt)
-    N = grid.N
 
     def one_batch(lo: int, hi: int) -> np.ndarray:
         B = hi - lo
         gens = [substream(seed, i) for i in range(lo, hi)]
         best = np.asarray(node_value(np.zeros((B, 1, m))), dtype=float)[:, 0]
         carry = np.zeros((B, m))
-        done = 0
-        while done < N:
-            S = min(_SLAB_STEPS, N - done)
-            block = np.empty((B, S, m))
-            for bi, g in enumerate(gens):
-                block[bi] = g.standard_normal((S, m))
-            block *= sqdt
+        for block in noise_slabs(gens, grid, m):
             np.cumsum(block, axis=1, out=block)
             block += carry[:, None, :]
             carry = block[:, -1, :].copy()
             np.maximum(best, np.max(node_value(block), axis=1), out=best)
-            done += S
         return best
 
     return np.concatenate(map_batches(one_batch, n_samples, threads))

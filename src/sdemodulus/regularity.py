@@ -21,6 +21,13 @@ The estimator orders its operations deliberately: per-node means across
 samples are computed first and the sup over nodes is taken afterwards
 (sup of means, not mean of sups), with the standard error propagated from
 the argmax node.
+
+Every estimator here runs on one ensemble kernel, which steps a batch of
+samples node by node and folds each node into a reducer: per-node sums for
+the coupled pair, a per-sample running max for K, per-(start, node) sums for
+C.  No reducer keeps a node history, so memory does not grow with the step
+count N.  A sample that leaves the floats is dropped by running its batch
+again from the surviving samples' substreams.
 """
 
 from __future__ import annotations
@@ -36,11 +43,12 @@ import numpy as np
 from .errors import EstimatorError
 from .model import DriftModel
 from .paths import (
-    BATCH_SAMPLES,
     MCEstimate,
     TimeGrid,
+    _mc_from_samples,
     derive_seed,
     map_batches,
+    noise_slabs,
     substream,
 )
 
@@ -62,67 +70,135 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_SLAB_STEPS = 1024
-_LATTICE_NODE_BATCH = 256  # batch size when per-(lattice, node) sums must be kept
 _MAX_EXCLUDED_FRACTION = 0.01
 
 
-# -- coupled evolution of a pair of solutions -------------------------------
+# -- the ensemble kernel and its reducers ------------------------------------
 
 
-def _coupled_node_sums(model, x, y, grid, seed, n_samples, stat_fns, threads):
-    """Per-node sums of stat_fn(|Delta(t_n)|) across included samples.
+class _Reducer:
+    """Folds the nodes of one batch into ``out``, a list of arrays.
 
-    The pair is advanced as (X, Delta) with Delta = X - Y updated through the
-    drift difference, so the Brownian increments never touch Delta: for x = y
-    it stays exactly zero, and for mu = 0 it is constant bitwise.  Samples
-    whose state leaves the floats are excluded whole.
+    The kernel calls ``step(X, mu)`` with the state block and its drift just
+    before each Euler step, and ``node(k, X)`` with the block at node k just
+    after it; ``node`` returns a (B,) mask of the samples it can still count,
+    or True.
     """
-    d, m = model.d, model.m
-    N, dt = grid.N, grid.dt
-    sqdt = math.sqrt(dt)
+
+    def step(self, X, mu):
+        pass
+
+
+class _NodeSums(_Reducer):
+    """Sums over the batch of each stat(value(X)) at every node: (..., N+1) arrays."""
+
+    def __init__(self, X, N, value, stats):
+        self.value, self.stats = value, stats
+        v = value(X)
+        self.out = [np.empty(v.shape[1:] + (N + 1,)) for _ in stats]
+        self._record(0, v)
+
+    def node(self, k, X):
+        self._record(k, self.value(X))
+        return True
+
+    def _record(self, k, v):
+        for total, fn in zip(self.out, self.stats):
+            total[..., k] = np.add.reduce(fn(v), axis=0)  # np.sum, minus its call overhead
+
+
+class _PairSums(_NodeSums):
+    """Node sums of each stat(|Delta|) for the coupled pair, Delta = X - Y.
+
+    Delta advances through the drift difference, so the Brownian increments
+    never touch it: for x = y it stays exactly zero, and for mu = 0 it is
+    constant bitwise.
+    """
+
+    def __init__(self, model, dt, delta, X, N, stats):
+        self.model, self.dt = model, dt
+        self.delta = np.broadcast_to(delta, X.shape).copy()
+        super().__init__(X, N, lambda _: model.norm_state(self.delta), stats)
+
+    def step(self, X, mu):
+        self.delta = self.delta + self.dt * (mu - self.model.mu_batch(X - self.delta))
+
+    def node(self, k, X):
+        super().node(k, X)
+        return np.isfinite(self.delta).all(axis=1)
+
+
+class _RunningMax(_Reducer):
+    """Per-sample running max over nodes of each statistic: (B,) arrays.
+
+    ``stats`` maps a state block to a list of (B,) arrays, each already
+    reduced over the start axis.
+    """
+
+    def __init__(self, X, stats):
+        self.stats = stats
+        self.out = [s.copy() for s in stats(X)]
+
+    def node(self, k, X):
+        for best, s in zip(self.out, self.stats(X)):
+            np.maximum(best, s, out=best)
+        return True
+
+
+def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):
+    """Run every sample's trajectories from ``starts`` through a fresh reducer per batch.
+
+    ``starts`` is one point, shape (d,), or a lattice, shape (L, d); all
+    trajectories of sample i share the increments of ``substream(seed, i)``
+    and advance by the Euler step in the shifted variable Z = X - sigma W.
+    ``reducer(X)`` builds a reducer from a batch's node-0 block X, of shape
+    (B,) + starts.shape.
+
+    A sample whose state leaves the floats is excluded whole: its batch runs
+    again from the surviving samples' substreams, which repeat their
+    trajectories, so no node history is kept.  Returns the included count
+    and, in batch order, each batch's ``out``.
+    """
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
+    m, dt = model.m, grid.dt
     sig_t = model.sigma.T
+    noise_shape = (1,) * (starts.ndim - 1) + (model.d,)
+
+    def run(indices):
+        B = len(indices)
+        gens = [substream(seed, int(i)) for i in indices]
+        zx = np.broadcast_to(starts, (B,) + starts.shape).copy()  # X - sigma W
+        w = np.zeros((B, m))
+        X = zx.copy()
+        red = reducer(X)
+        alive = np.ones(B, dtype=bool)
+        k = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block in noise_slabs(gens, grid, m):
+                for inc in block.transpose(1, 0, 2):
+                    mu = model.mu_batch(X)
+                    red.step(X, mu)
+                    zx += dt * mu
+                    w += inc
+                    X = zx + (w @ sig_t).reshape((B,) + noise_shape)
+                    k += 1
+                    alive &= np.isfinite(X).reshape(B, -1).all(axis=1) & red.node(k, X)
+        return alive, red
 
     def one_batch(lo, hi):
-        B = hi - lo
-        gens = [substream(seed, i) for i in range(lo, hi)]
-        X = np.broadcast_to(x, (B, d)).astype(float).copy()
-        delta = np.broadcast_to(x - y, (B, d)).astype(float).copy()
-        zx = X.copy()  # X - sigma W, and W(0) = 0
-        w = np.zeros((B, m))
-        norms = np.empty((B, N + 1))
-        norms[:, 0] = model.norm_state(delta)
-        alive = np.ones(B, dtype=bool)
-        node = 0
-        done = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            while done < N:
-                S = min(_SLAB_STEPS, N - done)
-                block = np.empty((B, S, m))
-                for bi, g in enumerate(gens):
-                    block[bi] = g.standard_normal((S, m))
-                block *= sqdt
-                for j in range(S):
-                    mu_x = model.mu_batch(X)
-                    mu_y = model.mu_batch(X - delta)
-                    zx += dt * mu_x
-                    delta = delta + dt * (mu_x - mu_y)
-                    w += block[:, j, :]
-                    X = zx + w @ sig_t
-                    node += 1
-                    norms[:, node] = model.norm_state(delta)
-                    alive &= np.isfinite(X).all(axis=1) & np.isfinite(delta).all(axis=1)
-                done += S
-        rows = norms[alive]
-        return int(alive.sum()), [np.sum(fn(rows), axis=0) for fn in stat_fns]
+        indices = np.arange(lo, hi)
+        while len(indices):
+            alive, red = run(indices)
+            if alive.all():
+                return len(indices), red.out
+            indices = indices[alive]
+        return 0, None
 
-    parts = map_batches(one_batch, n_samples, threads)
-    count = sum(p[0] for p in parts)
-    totals = [np.zeros(N + 1) for _ in stat_fns]
-    for _, sums in parts:
-        for tot, s in zip(totals, sums):
-            tot += s
-    return count, totals
+    parts = [p for p in map_batches(one_batch, n_samples, threads) if p[0]]
+    count = sum(n for n, _ in parts)
+    _check_exclusions(count, n_samples, what)
+    return count, [out for _, out in parts]
 
 
 def _check_exclusions(count: int, n_samples: int, what: str) -> None:
@@ -136,12 +212,36 @@ def _check_exclusions(count: int, n_samples: int, what: str) -> None:
         logger.warning("%s: excluded %d of %d divergent samples", what, excluded, n_samples)
 
 
-def _pair_points(model, x, y):
+def _sup_of_means(sums, sumsq, count, seed) -> MCEstimate:
+    """The largest of the per-node means, with the standard error at its argmax."""
+    means = sums / count
+    i = int(np.argmax(means))
+    var = max(0.0, (sumsq.flat[i] - sums.flat[i] ** 2 / count) / (count - 1))
+    return MCEstimate(
+        mean=float(means.flat[i]),
+        std_error=float(math.sqrt(var / count)),
+        n_samples=count,
+        seed=int(seed),
+    )
+
+
+_SUM_AND_SQUARES = (lambda v: v, lambda v: v * v)
+
+
+# -- coupled evolution of a pair of solutions -------------------------------
+
+
+def _pair_sums(model, x, y, grid, seed, n_samples, stats, threads, what):
+    """Per-node sums of each stat(|X^x - X^y|) across the included samples."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != (model.d,) or y.shape != (model.d,):
         raise ValueError(f"x and y must have shape ({model.d},)")
-    return x, y
+    count, outs = _ensemble(
+        model, x, grid, seed, n_samples, threads,
+        lambda X: _PairSums(model, grid.dt, x - y, X, grid.N, stats), what,
+    )
+    return count, np.sum(outs, axis=0)
 
 
 def estimate_distance(
@@ -159,22 +259,10 @@ def estimate_distance(
     exactly |x - y|) participates.  The standard error is that of the mean
     at the argmax node.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    x, y = _pair_points(model, x, y)
-    count, (sums, sumsq) = _coupled_node_sums(
-        model, x, y, grid, seed, n_samples, [lambda v: v, lambda v: v * v], threads
+    count, (sums, sumsq) = _pair_sums(
+        model, x, y, grid, seed, n_samples, _SUM_AND_SQUARES, threads, "estimate_distance"
     )
-    _check_exclusions(count, n_samples, "estimate_distance")
-    means = sums / count
-    idx = int(np.argmax(means))
-    var = max(0.0, (sumsq[idx] - sums[idx] ** 2 / count) / (count - 1))
-    return MCEstimate(
-        mean=float(means[idx]),
-        std_error=float(math.sqrt(var / count)),
-        n_samples=count,
-        seed=int(seed),
-    )
+    return _sup_of_means(sums, sumsq, count, seed)
 
 
 # -- the F/G decomposition ---------------------------------------------------
@@ -222,20 +310,11 @@ def fg_decomposition_check(
     node.  This holds for any data, so a failure indicates an estimator
     bug rather than bad luck; the margin is min(rhs - lhs) over nodes.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    x, y = _pair_points(model, x, y)
-    count, (sums, g2, f2) = _coupled_node_sums(
-        model,
-        x,
-        y,
-        grid,
-        seed,
-        n_samples,
+    count, (sums, g2, f2) = _pair_sums(
+        model, x, y, grid, seed, n_samples,
         [lambda v: v, lambda v: fg_G(v) ** 2, lambda v: fg_F(v) ** 2],
-        threads,
+        threads, "fg_decomposition_check",
     )
-    _check_exclusions(count, n_samples, "fg_decomposition_check")
     lhs = sums / count
     rhs = np.sqrt((g2 / count) * (f2 / count))
     ok = bool(np.all(lhs <= rhs * (1.0 + 1e-9)))
@@ -274,50 +353,12 @@ def ball_lattice(model: DriftModel, radius: float, points_per_axis: int) -> np.n
     return pts
 
 
-def _lattice_sup_samples(model, lattice, grid, seed, n_samples, node_stats, threads):
-    """Per-sample running max over (lattice point, node) of each statistic.
-
-    ``node_stats`` maps the state block X of shape (B, L, d) to a list of
-    (B,) arrays (each already reduced over the lattice axis).  Returns the
-    included count and one (count,) array per statistic, all trajectories of
-    a sample driven by the same increments.
-    """
-    d, m = model.d, model.m
-    N, dt = grid.N, grid.dt
-    sqdt = math.sqrt(dt)
-    sig_t = model.sigma.T
-    L = len(lattice)
-
-    def one_batch(lo, hi):
-        B = hi - lo
-        gens = [substream(seed, i) for i in range(lo, hi)]
-        zx = np.broadcast_to(lattice, (B, L, d)).astype(float).copy()
-        w = np.zeros((B, m))
-        X = zx.copy()
-        best = [s.copy() for s in node_stats(X)]
-        alive = np.ones(B, dtype=bool)
-        done = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            while done < N:
-                S = min(_SLAB_STEPS, N - done)
-                block = np.empty((B, S, m))
-                for bi, g in enumerate(gens):
-                    block[bi] = g.standard_normal((S, m))
-                block *= sqdt
-                for j in range(S):
-                    zx += dt * model.mu_batch(X)
-                    w += block[:, j, :]
-                    X = zx + (w @ sig_t)[:, None, :]
-                    alive &= np.isfinite(X).reshape(B, -1).all(axis=1)
-                    for b, s in zip(best, node_stats(X)):
-                        np.maximum(b, s, out=b)
-                done += S
-        return int(alive.sum()), [b[alive] for b in best]
-
-    parts = map_batches(one_batch, n_samples, threads)
-    count = sum(p[0] for p in parts)
-    merged = [np.concatenate([p[1][i] for p in parts]) for i in range(len(parts[0][1]))]
-    return count, merged
+def _lattice_starts(model, R, x_grid_points, lattice):
+    if R < 0.0:
+        raise ValueError(f"R must be >= 0, got {R}")
+    if lattice is None:
+        return ball_lattice(model, R + 1.0, x_grid_points)
+    return np.atleast_2d(np.asarray(lattice, dtype=float))
 
 
 def estimate_K(
@@ -343,15 +384,9 @@ def estimate_K(
     """
     if q < 0.0:
         raise ValueError(f"q must be >= 0, got {q}")
-    if R < 0.0:
-        raise ValueError(f"R must be >= 0, got {R}")
     if safety <= 0.0:
         raise ValueError(f"safety must be positive, got {safety}")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    pts = ball_lattice(model, R + 1.0, x_grid_points) if lattice is None else np.atleast_2d(
-        np.asarray(lattice, dtype=float)
-    )
+    pts = _lattice_starts(model, R, x_grid_points, lattice)
     expo = 4.0 * q + 4.0
 
     def node_stats(X):
@@ -359,19 +394,13 @@ def estimate_K(
         nrm = model.norm_state(X)
         return [np.max(phi ** expo, axis=1), np.max(nrm * nrm, axis=1)]
 
-    count, (a_phi, a_nrm) = _lattice_sup_samples(
-        model, pts, grid, seed, n_samples, node_stats, threads
+    count, outs = _ensemble(
+        model, pts, grid, seed, n_samples, threads,
+        lambda X: _RunningMax(X, node_stats), "estimate_K",
     )
-    _check_exclusions(count, n_samples, "estimate_K")
-    means = [float(np.mean(a_phi)), float(np.mean(a_nrm))]
-    ses = []
-    for arr, mean in zip((a_phi, a_nrm), means):
-        if math.isfinite(mean) and count > 1:
-            ses.append(float(np.std(arr, ddof=1) / math.sqrt(count)))
-        else:
-            ses.append(math.inf if not math.isfinite(mean) else 0.0)
-    mean = max(means)
-    se = max(ses)
+    ests = [_mc_from_samples(a, seed) for a in np.concatenate(outs, axis=1)]
+    mean = max(e.mean for e in ests)
+    se = max(e.std_error for e in ests)
     return MCEstimate(mean=mean * safety, std_error=se * safety, n_samples=count, seed=int(seed))
 
 
@@ -398,99 +427,23 @@ def moment_bound_check(
     """
     if r < 0.0:
         raise ValueError(f"r must be >= 0, got {r}")
-    if R < 0.0:
-        raise ValueError(f"R must be >= 0, got {R}")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    pts = ball_lattice(model, R + 1.0, x_grid_points) if lattice is None else np.atleast_2d(
-        np.asarray(lattice, dtype=float)
-    )
-    if not sup_outside:
+    pts = _lattice_starts(model, R, x_grid_points, lattice)
 
-        def node_stats(X):
-            return [np.max(model.norm_state(X) ** r, axis=1)]
+    def moment(X):
+        return model.norm_state(X) ** r  # (B, L)
 
-        count, (arr,) = _lattice_sup_samples(
-            model, pts, grid, seed, n_samples, node_stats, threads
+    if sup_outside:
+        count, outs = _ensemble(
+            model, pts, grid, seed, n_samples, threads,
+            lambda X: _NodeSums(X, grid.N, moment, _SUM_AND_SQUARES), "moment_bound_check",
         )
-        _check_exclusions(count, n_samples, "moment_bound_check")
-        mean = float(np.mean(arr))
-        if math.isfinite(mean) and count > 1:
-            se = float(np.std(arr, ddof=1) / math.sqrt(count))
-        else:
-            se = math.inf if not math.isfinite(mean) else 0.0
-        return MCEstimate(mean=mean, std_error=se, n_samples=count, seed=int(seed))
-    return _sup_outside_moment(model, pts, r, grid, seed, n_samples, threads)
-
-
-def _sup_outside_moment(model, lattice, r, grid, seed, n_samples, threads):
-    """sup over (start, node) of per-pair sample means of |X|^r."""
-    d, m = model.d, model.m
-    N, dt = grid.N, grid.dt
-    sqdt = math.sqrt(dt)
-    sig_t = model.sigma.T
-    L = len(lattice)
-
-    def one_batch(lo, hi):
-        B = hi - lo
-        gens = [substream(seed, i) for i in range(lo, hi)]
-        zx = np.broadcast_to(lattice, (B, L, d)).astype(float).copy()
-        w = np.zeros((B, m))
-        X = zx.copy()
-        vals = np.empty((B, L, N + 1))
-        vals[:, :, 0] = model.norm_state(X) ** r
-        alive = np.ones(B, dtype=bool)
-        node = 0
-        done = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            while done < N:
-                S = min(_SLAB_STEPS, N - done)
-                block = np.empty((B, S, m))
-                for bi, g in enumerate(gens):
-                    block[bi] = g.standard_normal((S, m))
-                block *= sqdt
-                for j in range(S):
-                    zx += dt * model.mu_batch(X)
-                    w += block[:, j, :]
-                    X = zx + (w @ sig_t)[:, None, :]
-                    alive &= np.isfinite(X).reshape(B, -1).all(axis=1)
-                    node += 1
-                    vals[:, :, node] = model.norm_state(X) ** r
-                done += S
-        rows = vals[alive]
-        return int(alive.sum()), [np.sum(rows, axis=0), np.sum(rows * rows, axis=0)]
-
-    ranges = [
-        (lo, min(lo + _LATTICE_NODE_BATCH, n_samples))
-        for lo in range(0, n_samples, _LATTICE_NODE_BATCH)
-    ]
-
-    def run(fn):
-        if threads <= 1 or len(ranges) <= 1:
-            return [fn(lo, hi) for lo, hi in ranges]
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda rr: fn(*rr), ranges))
-
-    parts = run(one_batch)
-    count = sum(p[0] for p in parts)
-    _check_exclusions(count, n_samples, "moment_bound_check")
-    sums = np.zeros((L, N + 1))
-    sumsq = np.zeros((L, N + 1))
-    for _, (s, s2) in parts:
-        sums += s
-        sumsq += s2
-    means = sums / count
-    flat = int(np.argmax(means))
-    li, ni = np.unravel_index(flat, means.shape)
-    var = max(0.0, (sumsq[li, ni] - sums[li, ni] ** 2 / count) / (count - 1))
-    return MCEstimate(
-        mean=float(means[li, ni]),
-        std_error=float(math.sqrt(var / count)),
-        n_samples=count,
-        seed=int(seed),
+        sums, sumsq = np.sum(outs, axis=0)
+        return _sup_of_means(sums, sumsq, count, seed)
+    _, outs = _ensemble(
+        model, pts, grid, seed, n_samples, threads,
+        lambda X: _RunningMax(X, lambda X: [np.max(moment(X), axis=1)]), "moment_bound_check",
     )
+    return _mc_from_samples(np.concatenate(outs, axis=1)[0], seed)
 
 
 # -- explicit constants -------------------------------------------------------
@@ -581,11 +534,17 @@ class RegularityConstants:
         return cls(**{k: float(d[k]) for k in ("R", "q", "K", "Kcal", "c_local", "C", "c_global")})
 
 
+def _rung_passes(empirical: MCEstimate, theoretical: float) -> bool:
+    """One rung of the ladder holds: empirical mean - 3 SE <= theoretical."""
+    return empirical.mean - 3.0 * empirical.std_error <= theoretical
+
+
 @dataclass(frozen=True)
 class RegularityReport:
     """Outcome of verify_modulus: the ladder, both sides, constants, and a fit.
 
-    ``passed`` demands empirical mean - 3 SE <= theoretical at every rung.
+    ``passed`` is derived from the rungs: it demands empirical mean - 3 SE
+    <= theoretical at every rung.
     The least-squares fit of ln(empirical) against ln |ln h| (slope -q_hat,
     intercept ln c_hat) is a diagnostic only and asserts nothing.
     """
@@ -599,7 +558,6 @@ class RegularityReport:
     constants: RegularityConstants
     fitted_q: float
     fitted_c: float
-    passed: bool
     n_samples: int
     seed: int
     T: float
@@ -608,8 +566,11 @@ class RegularityReport:
     safety: float
 
     def rung_passed(self, i: int) -> bool:
-        e = self.empirical[i]
-        return e.mean - 3.0 * e.std_error <= self.theoretical[i]
+        return _rung_passes(self.empirical[i], self.theoretical[i])
+
+    @property
+    def passed(self) -> bool:
+        return all(self.rung_passed(i) for i in range(len(self.ladder)))
 
     def to_dict(self) -> dict:
         return {
@@ -646,7 +607,6 @@ class RegularityReport:
             constants=RegularityConstants.from_dict(d["constants"]),
             fitted_q=float(d["fitted_q"]),
             fitted_c=float(d["fitted_c"]),
-            passed=bool(d["pass"]),
             n_samples=int(d["n_samples"]),
             seed=int(d["seed"]),
             T=float(d["T"]),
@@ -732,9 +692,6 @@ def verify_modulus(
     )
     constants = RegularityConstants.compute(R, q, k_est.mean, c_est.mean, grid.T)
     theoretical = tuple(constants.c_global * abs(math.log(h)) ** (-q) for h in ladder)
-    passed = all(
-        e.mean - 3.0 * e.std_error <= t for e, t in zip(empirical, theoretical)
-    )
     xs = [math.log(abs(math.log(h))) for h, e in zip(ladder, empirical) if e.mean > 0.0]
     ys = [math.log(e.mean) for e in empirical if e.mean > 0.0]
     if len(xs) >= 2:
@@ -752,7 +709,6 @@ def verify_modulus(
         constants=constants,
         fitted_q=fitted_q,
         fitted_c=fitted_c,
-        passed=passed,
         n_samples=int(n_samples),
         seed=int(seed),
         T=float(grid.T),

@@ -15,6 +15,7 @@ import dataclasses
 import io
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from sdemodulus import (
     theoretical_constant,
     verify_modulus,
 )
+from sdemodulus.paths import BATCH_SAMPLES, MCEstimate
+from sdemodulus.regularity import _rung_passes
 
 
 # -- coupled distance estimator ------------------------------------------------------
@@ -95,15 +98,19 @@ def test_distance_total_divergence_is_estimator_error():
         estimate_distance(m, np.array([1e5]), np.array([9e4]), TimeGrid(1.0, 4), 100, 0)
 
 
-def test_distance_small_exclusion_warns(caplog):
-    """A drift cliff knocks out a few paths; the estimator excludes and warns."""
-    base = catalog_model("linear1d")
+def _cliff_model():
+    """linear1d whose drift jumps to inf beyond |x| = 2.6: a few paths diverge."""
 
     def mu(x):
         x = np.asarray(x, dtype=float)
         return np.where(np.abs(x) > 2.6, np.inf, -x)
 
-    m = dataclasses.replace(base, mu=mu)
+    return dataclasses.replace(catalog_model("linear1d"), mu=mu)
+
+
+def test_distance_small_exclusion_warns(caplog):
+    """A drift cliff knocks out a few paths; the estimator excludes and warns."""
+    m = _cliff_model()
     with caplog.at_level(logging.WARNING, logger="sdemodulus.regularity"):
         est = estimate_distance(m, np.array([1.0]), np.array([0.9]), TimeGrid(1.0, 64), 400, 5)
     assert est.n_samples == 397
@@ -233,6 +240,66 @@ def test_moment_sup_outside_below_sup_inside():
     inside = moment_bound_check(m, 1.0, 1.0, grid, 1500, 41)
     outside = moment_bound_check(m, 1.0, 1.0, grid, 1500, 41, sup_outside=True)
     assert outside.mean <= inside.mean + 3.0 * (inside.std_error + outside.std_error)
+
+
+def test_lattice_estimators_exclude_the_same_samples(caplog):
+    """K and both moment checks drop the same divergent samples and warn."""
+    m = _cliff_model()
+    grid = TimeGrid(1.0, 64)
+    lat = np.array([[1.0], [0.9]])
+    with caplog.at_level(logging.WARNING, logger="sdemodulus.regularity"):
+        ests = [
+            estimate_K(m, 1.0, 1.0, grid, 400, 5, lattice=lat),
+            moment_bound_check(m, 1.0, 1.0, grid, 400, 5, lattice=lat),
+            moment_bound_check(m, 1.0, 1.0, grid, 400, 5, lattice=lat, sup_outside=True),
+        ]
+    counts = {e.n_samples for e in ests}
+    assert len(counts) == 1 and counts.pop() < 400
+    assert all(math.isfinite(e.mean) and math.isfinite(e.std_error) for e in ests)
+    excluded = 400 - ests[0].n_samples
+    messages = [r.message for r in caplog.records]
+    assert sum(f"estimate_K: excluded {excluded} of 400" in s for s in messages) == 1
+    assert sum(f"moment_bound_check: excluded {excluded} of 400" in s for s in messages) == 2
+
+
+def test_sup_outside_thread_invariance_across_batches():
+    m = catalog_model("oscillatory1d")
+    args = (m, 1.0, 1.0, TimeGrid(1.0, 4), BATCH_SAMPLES + 50, 9)
+    a = moment_bound_check(*args, x_grid_points=3, sup_outside=True, threads=1)
+    b = moment_bound_check(*args, x_grid_points=3, sup_outside=True, threads=4)
+    assert a.n_samples == b.n_samples == BATCH_SAMPLES + 50
+    assert a.mean == b.mean
+    assert a.std_error == b.std_error
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_grows_only_by_the_node_accumulators():
+    """Per-node sums need O(L N) floats; keeping every sample's nodes needs O(n L N).
+
+    From N = 256 to 4096 with 8 samples, the accumulators, their merge and
+    the noise slab (at most 1024 steps) stay below 12 floats per added
+    (start, node); storing each sample's node values would take at least 24.
+    """
+    m = catalog_model("oscillatory1d")
+    lat = np.array([[-1.0], [0.0], [1.0]])
+    runs = {
+        1: lambda g: estimate_distance(m, np.array([0.5]), np.array([0.4]), g, 8, 0),
+        len(lat): lambda g: moment_bound_check(m, 1.0, 1.0, g, 8, 0, lattice=lat, sup_outside=True),
+    }
+    for L, run in runs.items():
+        run(TimeGrid(1.0, 8))  # first-call allocations are not the kernel's
+        growth = _peak_bytes(lambda: run(TimeGrid(1.0, 4096))) - _peak_bytes(
+            lambda: run(TimeGrid(1.0, 256))
+        )
+        assert growth <= 12 * 8 * L * (4096 - 256), (L, growth)
 
 
 # -- constants -----------------------------------------------------------------------
@@ -402,6 +469,28 @@ def test_verify_modulus_report_roundtrip(tmp_path):
     assert lines[0] == "h,empirical_mean,empirical_se,theoretical,pass"
     assert len(lines) == 1 + len(rep.ladder)
     assert lines[1].endswith("true")
+
+
+def test_failing_rung_fails_the_verdict():
+    """The verdict can come out False, and JSON and CSV both say so."""
+    assert _rung_passes(MCEstimate(1.75, 0.25, 64, 0), 1.0)  # mean - 3 SE == bound
+    bad = MCEstimate(1.75 + 1e-12, 0.25, 64, 0)
+    assert not _rung_passes(bad, 1.0)
+    rep = _small_report()
+    assert rep.passed
+    failing = dataclasses.replace(
+        rep,
+        empirical=rep.empirical[:1]
+        + (MCEstimate(2.0 * rep.theoretical[1], 0.0, 64, 3),)
+        + rep.empirical[2:],
+    )
+    assert not failing.rung_passed(1)
+    assert failing.to_dict()["pass"] is False
+    assert RegularityReport.from_dict(failing.to_dict()).passed is False
+    buf = io.StringIO()
+    failing.write_csv(buf)
+    verdicts = [row.rsplit(",", 1)[1] for row in buf.getvalue().splitlines()[1:]]
+    assert verdicts == ["true", "false", "true"]
 
 
 def test_verify_modulus_validation():
