@@ -7,164 +7,23 @@ the logarithmic modulus of continuity of x -> X^x by coupled Monte Carlo
 against its fully explicit constant.
 """
 
-from .bounds import (
-    AprioriBound,
-    GronwallCheck,
-    PowerSumBound,
-    apriori_bound,
-    discrete_gronwall_bound,
-    discrete_gronwall_check,
-    log_monotone_check,
-    log_monotone_shifted_check,
-    power_sum_bound,
-)
-from .errors import (
-    CatalogError,
-    DivergenceError,
-    EstimatorError,
-    EvaluationError,
-    GridMismatchError,
-)
-from .integrator import (
-    AdaptiveResult,
-    SolutionPath,
-    euler_solve,
-    euler_solve_many,
-    interpolate,
-    solution_to_csv,
-    solve_adaptive,
-    verify_integral_equation,
-)
-from .model import (
-    ConditionReport,
-    DriftModel,
-    LyapunovSpec,
-    NormSpec,
-    catalog_model,
-    catalog_names,
-    check_derivative_growth,
-    check_lyapunov,
-    default_axis_grid,
-    default_point_grid,
-    jacobian_fd_error,
-    lyapunov_grad_fd_error,
-)
-from .paths import (
-    BrownianPath,
-    MCEstimate,
-    PathSupStats,
-    TimeGrid,
-    derive_seed,
-    estimate_exp_moment,
-    estimate_poly_moment,
-    path_sup_stats,
-    path_to_csv,
-    restrict,
-    sample_path,
-    substream,
-    zero_path,
-)
-from .regularity import (
-    FGCheck,
-    RegularityConstants,
-    RegularityReport,
-    ball_lattice,
-    estimate_K,
-    estimate_distance,
-    fg_F,
-    fg_G,
-    fg_decomposition_check,
-    global_bound_constant,
-    moment_bound_check,
-    theoretical_constant,
-    verify_modulus,
-)
-from .variational import (
-    FDCheck,
-    FULL,
-    GrowthBound,
-    PathwiseBound,
-    VariationalPath,
-    finite_difference_check,
-    finite_difference_profile,
-    growth_bound_check,
-    pathwise_distance_bound,
-    variational_solve,
-    variational_to_csv,
-)
+from . import bounds, errors, integrator, model, paths, regularity, variational
+from .bounds import *
+from .errors import *
+from .integrator import *
+from .model import *
+from .paths import *
+from .regularity import *
+from .variational import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveResult",
-    "AprioriBound",
-    "BrownianPath",
-    "CatalogError",
-    "ConditionReport",
-    "DivergenceError",
-    "DriftModel",
-    "EstimatorError",
-    "EvaluationError",
-    "FDCheck",
-    "FGCheck",
-    "FULL",
-    "GridMismatchError",
-    "GronwallCheck",
-    "GrowthBound",
-    "LyapunovSpec",
-    "MCEstimate",
-    "NormSpec",
-    "PathSupStats",
-    "PathwiseBound",
-    "PowerSumBound",
-    "RegularityConstants",
-    "RegularityReport",
-    "SolutionPath",
-    "TimeGrid",
-    "VariationalPath",
-    "apriori_bound",
-    "ball_lattice",
-    "catalog_model",
-    "catalog_names",
-    "check_derivative_growth",
-    "check_lyapunov",
-    "default_axis_grid",
-    "default_point_grid",
-    "derive_seed",
-    "discrete_gronwall_bound",
-    "discrete_gronwall_check",
-    "estimate_K",
-    "estimate_distance",
-    "estimate_exp_moment",
-    "estimate_poly_moment",
-    "euler_solve",
-    "euler_solve_many",
-    "fg_F",
-    "fg_G",
-    "fg_decomposition_check",
-    "finite_difference_check",
-    "finite_difference_profile",
-    "global_bound_constant",
-    "growth_bound_check",
-    "interpolate",
-    "jacobian_fd_error",
-    "log_monotone_check",
-    "log_monotone_shifted_check",
-    "lyapunov_grad_fd_error",
-    "moment_bound_check",
-    "path_sup_stats",
-    "path_to_csv",
-    "pathwise_distance_bound",
-    "power_sum_bound",
-    "restrict",
-    "sample_path",
-    "solution_to_csv",
-    "solve_adaptive",
-    "substream",
-    "theoretical_constant",
-    "variational_solve",
-    "variational_to_csv",
-    "verify_integral_equation",
-    "verify_modulus",
-    "zero_path",
+    *bounds.__all__,
+    *errors.__all__,
+    *integrator.__all__,
+    *model.__all__,
+    *paths.__all__,
+    *regularity.__all__,
+    *variational.__all__,
 ]

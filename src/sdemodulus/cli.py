@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import io
 import json
@@ -27,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bounds import apriori_bound
-from .errors import CatalogError, DivergenceError, EstimatorError, GridMismatchError
+from .errors import CatalogError, DivergenceError, EstimatorError
 from .integrator import euler_solve, solution_to_csv, solve_adaptive, verify_integral_equation
 from .model import (
     catalog_model,
@@ -39,6 +38,7 @@ from .model import (
 )
 from .paths import (
     TimeGrid,
+    _write_table,
     derive_seed,
     estimate_exp_moment,
     estimate_poly_moment,
@@ -57,6 +57,36 @@ from .variational import (
 __all__ = ["ExperimentConfig", "main"]
 
 _SUBCOMMANDS = ("check-model", "check-bounds", "solve", "variational", "moments", "verify-modulus")
+_STEPPED = _SUBCOMMANDS[1:]  # every subcommand but check-model builds a time grid
+
+
+def _parse_floats(s: str) -> tuple:
+    toks = [t for t in re.split(r"[,\s]+", s.strip()) if t]
+    if not toks:
+        raise ValueError("empty value")
+    return tuple(float(t) for t in toks)
+
+
+def _parse_bool(s: str) -> bool:
+    low = s.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {s!r}")
+
+
+def _option(default, parse, help, commands=_SUBCOMMANDS, flag=None):
+    """A config field that is also an option: an INI key, and a flag of ``commands``.
+
+    ``parse`` turns the text of a flag or INI value into the field's value;
+    the flag is ``--`` + the field name with ``_`` as ``-`` unless ``flag``
+    names it.
+    """
+    return dataclasses.field(
+        default=default,
+        metadata={"parse": parse, "help": help, "commands": commands, "flag": flag},
+    )
 
 
 @dataclass(frozen=True)
@@ -68,32 +98,52 @@ class ExperimentConfig:
     unset solves on the requested grid only).
     """
 
-    model: str | None = None
-    T: float = 1.0
-    steps: int = 256
-    samples: int = 1000
-    seed: int = 0
-    x0: tuple | None = None
-    direction: tuple | None = None
-    ladder: tuple = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
-    q: float = 1.0
-    R: float = 1.5
-    tol: float | None = None
-    safety: float = 1.2
-    u_grid: int = 33
-    lattice_points: int = 9
-    slack: float = 1e-9
-    out: str | None = None
-    format: str = "json"
-    threads: int = 1
-    deterministic: bool = False
-    kappa: float | None = None
-    d: int | None = None
-    c: float = 1.0
-    alpha: float = 1.0
-    r: float = 1.0
-    norm_state: str = "euclidean"
-    norm_noise: str = "euclidean"
+    model: str | None = _option(None, str, "catalog model name")
+    T: float = _option(1.0, float, "time horizon", _STEPPED)
+    steps: int = _option(256, int, "Euler steps N", _STEPPED)
+    samples: int = _option(
+        1000, int, "Monte Carlo sample count / sweep draws",
+        ("check-bounds", "moments", "verify-modulus"),
+    )
+    seed: int = _option(0, int, "master seed")
+    x0: tuple | None = _option(
+        None, _parse_floats, "initial value, comma separated",
+        ("solve", "variational", "verify-modulus"),
+    )
+    direction: tuple | None = _option(
+        None, _parse_floats, "perturbation direction, comma separated",
+        ("variational", "verify-modulus"), flag="--dir",
+    )
+    ladder: tuple = _option(
+        (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8), _parse_floats,
+        "separation ladder, decreasing in (0,1)", ("verify-modulus",),
+    )
+    q: float = _option(1.0, float, "modulus exponent", ("verify-modulus",))
+    R: float = _option(1.5, float, "initial-value ball radius", ("verify-modulus",))
+    tol: float | None = _option(
+        None, float, "tolerance (per-subcommand meaning)", ("check-model", "solve", "variational"),
+    )
+    safety: float = _option(1.2, float, "lattice safety factor for K", ("verify-modulus",))
+    u_grid: int = _option(33, int, "segment grid for pathwise bound", ("check-bounds",))
+    lattice_points: int = _option(
+        9, int, "per-axis lattice points for moment constants", ("verify-modulus",),
+    )
+    slack: float = _option(1e-9, float, "relative slack for hypothesis sweeps", ("check-model",))
+    out: str | None = _option(None, str, "output file (default: stdout)")
+    format: str = _option("json", str, "output format: json or csv")
+    threads: int = _option(
+        1, int, "worker cap; never changes results", ("moments", "verify-modulus"),
+    )
+    deterministic: bool = _option(
+        False, _parse_bool, "omit the generated_at stamp so reruns are byte-identical",
+    )
+    kappa: float | None = _option(None, float, "override the catalog growth constant")
+    d: int | None = _option(None, int, "dimension, for catalog entries that take one")
+    c: float = _option(1.0, float, "exponential moment coefficient", ("moments",))
+    alpha: float = _option(1.0, float, "exponential moment exponent", ("moments",))
+    r: float = _option(1.0, float, "polynomial moment order", ("moments",))
+    norm_state: str = _option("euclidean", str, "state norm: euclidean, max or one")
+    norm_noise: str = _option("euclidean", str, "noise norm: euclidean, max or one")
 
     def validate(self) -> None:
         if not self.model:
@@ -134,60 +184,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_ini(cls, text: str, source: str = "<config>") -> "ExperimentConfig":
-        return cls().with_updates(**_parse_ini(text, source))
+        return dataclasses.replace(cls(), **_parse_ini(text, source))
 
-    def with_updates(self, **kw) -> "ExperimentConfig":
-        return dataclasses.replace(self, **kw)
+
+_OPTIONS = {f.name: f.metadata for f in dataclasses.fields(ExperimentConfig)}
 
 
 class UsageError(Exception):
     """Bad flags or bad config file: exit status 1."""
 
-
-def _parse_floats(s: str) -> tuple:
-    toks = [t for t in re.split(r"[,\s]+", s.strip()) if t]
-    if not toks:
-        raise ValueError("empty value")
-    return tuple(float(t) for t in toks)
-
-
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
-_FIELD_PARSERS = {
-    "model": str,
-    "T": float,
-    "steps": int,
-    "samples": int,
-    "seed": int,
-    "x0": _parse_floats,
-    "direction": _parse_floats,
-    "ladder": _parse_floats,
-    "q": float,
-    "R": float,
-    "tol": float,
-    "safety": float,
-    "u_grid": int,
-    "lattice_points": int,
-    "slack": float,
-    "out": str,
-    "format": str,
-    "threads": int,
-    "deterministic": _parse_bool,
-    "kappa": float,
-    "d": int,
-    "c": float,
-    "alpha": float,
-    "r": float,
-    "norm_state": str,
-    "norm_noise": str,
-}
 
 _KEY_LINE = re.compile(r"^\s*([^;#\[\s][^=:]*?)\s*[=:]")
 
@@ -213,12 +218,12 @@ def _parse_ini(text: str, source: str) -> dict:
     for section in parser.sections():
         for key, raw in parser.items(section):
             where = f"{source}:{key_lines.get(key, '?')}"
-            if key not in _FIELD_PARSERS:
+            if key not in _OPTIONS:
                 raise UsageError(f"{where}: unknown key {key!r}")
             if key in values:
                 raise UsageError(f"{where}: duplicate key {key!r}")
             try:
-                values[key] = _FIELD_PARSERS[key](raw)
+                values[key] = _OPTIONS[key]["parse"](raw)
             except ValueError as exc:
                 raise UsageError(f"{where}: bad value for {key!r}: {exc}") from exc
     return values
@@ -235,38 +240,19 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     top = _Parser(prog="sdemod", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="subcommand", title="subcommands")
-    for name in _SUBCOMMANDS:
-        p = sub.add_parser(name)
+    for command in _SUBCOMMANDS:
+        # no prefix matching: an unread flag such as --c must not become --config
+        p = sub.add_parser(command, allow_abbrev=False)
         p.add_argument("--config", help="INI config file; flags override it")
-        p.add_argument("--model", help="catalog model name")
-        p.add_argument("--T", type=float, help="time horizon")
-        p.add_argument("--steps", type=int, help="Euler steps N")
-        p.add_argument("--samples", type=int, help="Monte Carlo sample count / sweep draws")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--x0", type=_parse_floats, help="initial value, comma separated")
-        p.add_argument("--dir", dest="direction", type=_parse_floats,
-                       help="perturbation direction, comma separated")
-        p.add_argument("--ladder", type=_parse_floats, help="separation ladder, decreasing in (0,1)")
-        p.add_argument("--q", type=float, help="modulus exponent")
-        p.add_argument("--R", type=float, help="initial-value ball radius")
-        p.add_argument("--tol", type=float, help="tolerance (per-subcommand meaning)")
-        p.add_argument("--safety", type=float, help="lattice safety factor for K")
-        p.add_argument("--u-grid", dest="u_grid", type=int, help="segment grid for pathwise bound")
-        p.add_argument("--lattice-points", dest="lattice_points", type=int,
-                       help="per-axis lattice points for moment constants")
-        p.add_argument("--slack", type=float, help="relative slack for hypothesis sweeps")
-        p.add_argument("--kappa", type=float, help="override the catalog growth constant")
-        p.add_argument("--d", type=int, help="dimension, for catalog entries that take one")
-        p.add_argument("--c", type=float, help="exponential moment coefficient (moments)")
-        p.add_argument("--alpha", type=float, help="exponential moment exponent (moments)")
-        p.add_argument("--r", type=float, help="polynomial moment order (moments)")
-        p.add_argument("--norm-state", dest="norm_state", choices=["euclidean", "max", "one"])
-        p.add_argument("--norm-noise", dest="norm_noise", choices=["euclidean", "max", "one"])
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"], help="output format")
-        p.add_argument("--threads", type=int, help="worker cap; never changes results")
-        p.add_argument("--deterministic", action=argparse.BooleanOptionalAction, default=None,
-                       help="omit the generated_at stamp so reruns are byte-identical")
+        for name, opt in _OPTIONS.items():
+            if command not in opt["commands"]:
+                continue
+            if opt["parse"] is _parse_bool:
+                how = {"action": argparse.BooleanOptionalAction}
+            else:
+                how = {"type": opt["parse"]}
+            flag = opt["flag"] or "--" + name.replace("_", "-")
+            p.add_argument(flag, dest=name, help=opt["help"], **how)
     return top
 
 
@@ -278,13 +264,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-        cfg = cfg.with_updates(**_parse_ini(text, args.config))
-    overrides = {
-        k: v
-        for k, v in vars(args).items()
-        if k in _FIELD_PARSERS and v is not None
-    }
-    cfg = cfg.with_updates(**overrides)
+        cfg = dataclasses.replace(cfg, **_parse_ini(text, args.config))
+    overrides = {k: v for k, v in vars(args).items() if k in _OPTIONS and v is not None}
+    cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()
     return cfg
 
@@ -302,25 +284,16 @@ def _build_model(cfg: ExperimentConfig):
     )
 
 
-def _initial(cfg: ExperimentConfig, d: int) -> np.ndarray:
-    if cfg.x0 is None:
-        return np.zeros(d)
-    x = np.asarray(cfg.x0, dtype=float)
-    if x.shape == (1,) and d > 1:
-        return np.full(d, x[0])
-    if x.shape != (d,):
-        raise UsageError(f"x0 must have {d} components (or 1 to broadcast), got {len(x)}")
-    return x
-
-
-def _direction(cfg: ExperimentConfig, d: int) -> np.ndarray:
-    if cfg.direction is None:
-        return np.ones(d)
-    v = np.asarray(cfg.direction, dtype=float)
+def _vector(cfg: ExperimentConfig, name: str, d: int, default: float) -> np.ndarray:
+    """The d-vector option ``name``: ``default`` everywhere when unset, one value broadcast."""
+    v = getattr(cfg, name)
+    if v is None:
+        return np.full(d, default)
+    v = np.asarray(v, dtype=float)
     if v.shape == (1,) and d > 1:
         return np.full(d, v[0])
     if v.shape != (d,):
-        raise UsageError(f"direction must have {d} components (or 1 to broadcast), got {len(v)}")
+        raise UsageError(f"{name} must have {d} components (or 1 to broadcast), got {len(v)}")
     return v
 
 
@@ -332,10 +305,6 @@ def _flatten(prefix: str, obj, rows: list) -> None:
         for i, v in enumerate(obj):
             _flatten(f"{prefix}[{i}]", v, rows)
     else:
-        if isinstance(obj, float):
-            obj = repr(obj)
-        elif isinstance(obj, bool):
-            obj = "true" if obj else "false"
         rows.append((prefix, obj))
 
 
@@ -356,11 +325,9 @@ def _emit(cfg: ExperimentConfig, payload: dict, csv_writer=None) -> None:
         if csv_writer is not None:
             csv_writer(buf)
         else:
-            writer = csv.writer(buf)
-            writer.writerow(["key", "value"])
             rows: list = []
             _flatten("", payload, rows)
-            writer.writerows(rows)
+            _write_table(buf, ["key", "value"], rows)
         text = buf.getvalue()
     if cfg.out is None:
         sys.stdout.write(text)
@@ -440,7 +407,7 @@ def _run_solve(cfg: ExperimentConfig) -> int:
     model = _build_model(cfg)
     grid = TimeGrid(cfg.T, cfg.steps)
     path = sample_path(cfg.seed, grid, model.m)
-    x0 = _initial(cfg, model.d)
+    x0 = _vector(cfg, "x0", model.d, 0.0)
     payload: dict = {"model": model.name, "T": cfg.T, "seed": cfg.seed, "x0": list(map(float, x0))}
     try:
         if cfg.tol is not None:
@@ -466,8 +433,8 @@ def _run_variational(cfg: ExperimentConfig) -> int:
     model = _build_model(cfg)
     grid = TimeGrid(cfg.T, cfg.steps)
     path = sample_path(cfg.seed, grid, model.m)
-    x0 = _initial(cfg, model.d)
-    h = _direction(cfg, model.d)
+    x0 = _vector(cfg, "x0", model.d, 0.0)
+    h = _vector(cfg, "direction", model.d, 1.0)
     tol = cfg.tol if cfg.tol is not None else 1e-3
     try:
         sol = euler_solve(model, x0, path)
@@ -521,8 +488,8 @@ def _run_verify_modulus(cfg: ExperimentConfig) -> int:
     grid = TimeGrid(cfg.T, cfg.steps)
     report = verify_modulus(
         model,
-        _initial(cfg, model.d),
-        _direction(cfg, model.d),
+        _vector(cfg, "x0", model.d, 0.0),
+        _vector(cfg, "direction", model.d, 1.0),
         cfg.ladder,
         q=cfg.q,
         R=cfg.R,
@@ -558,10 +525,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return int(code) if isinstance(code, int) else 0
-    except (UsageError, CatalogError, GridMismatchError) as exc:
-        print(f"sdemod: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, CatalogError, ValueError) as exc:  # GridMismatchError is a ValueError
         print(f"sdemod: error: {exc}", file=sys.stderr)
         return 1
     except EstimatorError as exc:

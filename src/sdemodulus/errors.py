@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CatalogError",
+    "EvaluationError",
+    "DivergenceError",
+    "GridMismatchError",
+    "EstimatorError",
+]
+
 
 class CatalogError(KeyError):
     """Requested model name is not in the catalog."""

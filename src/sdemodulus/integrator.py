@@ -17,7 +17,6 @@ bitwise the coarse recursion (no resummed increments).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import DivergenceError, GridMismatchError
 from .model import DriftModel
-from .paths import BrownianPath, TimeGrid, restrict
+from .paths import BrownianPath, TimeGrid, _write_series, restrict
 
 __all__ = [
     "SolutionPath",
@@ -208,7 +207,4 @@ def verify_integral_equation(model: DriftModel, sol: SolutionPath, path: Brownia
 
 def solution_to_csv(sol: SolutionPath, fileobj) -> None:
     """Write a solution as CSV with columns t, X_1, ..., X_d."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["t"] + [f"X_{j + 1}" for j in range(sol.d)])
-    for t, row in zip(sol.grid.times(), sol.states):
-        writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    _write_series(fileobj, sol.grid, "X", sol.states)

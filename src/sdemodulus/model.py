@@ -128,42 +128,28 @@ class DriftModel:
 
     # -- batched evaluation with a row-loop fallback ---------------------
 
+    def _batch(self, fn, x: np.ndarray, tail: tuple) -> np.ndarray:
+        """fn on an (..., d) stack, shaped (...) + tail; row by row if fn does not broadcast."""
+        want = x.shape[:-1] + tail
+        out = np.asarray(fn(x), dtype=float)
+        if out.shape == want:
+            return out
+        rows = [np.asarray(fn(p), dtype=float).reshape(tail) for p in x.reshape(-1, self.d)]
+        return np.stack(rows).reshape(want)
+
     def mu_batch(self, x: np.ndarray) -> np.ndarray:
         """Evaluate mu on an (..., d) stack of points."""
-        out = np.asarray(self.mu(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-        flat = x.reshape(-1, self.d)
-        rows = np.stack([np.asarray(self.mu(p), dtype=float).reshape(self.d) for p in flat])
-        return rows.reshape(x.shape)
+        return self._batch(self.mu, x, (self.d,))
 
     def mu_jac_batch(self, x: np.ndarray) -> np.ndarray:
         """Evaluate mu_jac on an (..., d) stack of points, yielding (..., d, d)."""
-        want = x.shape + (self.d,)
-        out = np.asarray(self.mu_jac(x), dtype=float)
-        if out.shape == want:
-            return out
-        flat = x.reshape(-1, self.d)
-        rows = np.stack(
-            [np.asarray(self.mu_jac(p), dtype=float).reshape(self.d, self.d) for p in flat]
-        )
-        return rows.reshape(want)
+        return self._batch(self.mu_jac, x, (self.d, self.d))
 
     def v_batch(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.lyapunov.V(x), dtype=float)
-        if out.shape == x.shape[:-1]:
-            return out
-        flat = x.reshape(-1, self.d)
-        rows = np.array([float(self.lyapunov.V(p)) for p in flat])
-        return rows.reshape(x.shape[:-1])
+        return self._batch(self.lyapunov.V, x, ())
 
     def v_grad_batch(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.lyapunov.V_grad(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-        flat = x.reshape(-1, self.d)
-        rows = np.stack([np.asarray(self.lyapunov.V_grad(p), dtype=float).reshape(self.d) for p in flat])
-        return rows.reshape(x.shape)
+        return self._batch(self.lyapunov.V_grad, x, (self.d,))
 
 
 @dataclass(frozen=True)

@@ -321,9 +321,31 @@ def estimate_poly_moment(
     return _mc_from_samples(stats, seed)
 
 
+def _cell(v):
+    """One CSV cell: floats as their shortest round-trip repr, bools as true/false."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(float(v))
+    return v
+
+
+def _write_table(fileobj, header, rows) -> None:
+    """Write a header row and then the rows as CSV, each cell through ``_cell``."""
+    writer = csv.writer(fileobj)
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def _write_series(fileobj, grid: TimeGrid, name: str, values: np.ndarray) -> None:
+    """Write (N+1, k) node values as CSV with columns t, name_1, ..., name_k."""
+    _write_table(
+        fileobj,
+        ["t"] + [f"{name}_{j + 1}" for j in range(values.shape[1])],
+        ([t, *row] for t, row in zip(grid.times(), values)),
+    )
+
+
 def path_to_csv(path: BrownianPath, fileobj) -> None:
     """Write a path as CSV with columns t, W_1, ..., W_m (shortest round-trip floats)."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["t"] + [f"W_{j + 1}" for j in range(path.m)])
-    for t, row in zip(path.grid.times(), path.values):
-        writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    _write_series(fileobj, path.grid, "W", path.values)

@@ -32,7 +32,6 @@ again from the surviving samples' substreams.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -46,6 +45,7 @@ from .paths import (
     MCEstimate,
     TimeGrid,
     _mc_from_samples,
+    _write_table,
     derive_seed,
     map_batches,
     noise_slabs,
@@ -90,12 +90,17 @@ class _Reducer:
 
 
 class _NodeSums(_Reducer):
-    """Sums over the batch of each stat(value(X)) at every node: (..., N+1) arrays."""
+    """Sums over the batch of each array of stats(v, v0) at every node: (..., N+1) arrays.
+
+    ``v`` is value(X) and ``v0`` its node-0 row, the same in every batch,
+    since every sample starts from the same points.
+    """
 
     def __init__(self, X, N, value, stats):
         self.value, self.stats = value, stats
         v = value(X)
-        self.out = [np.empty(v.shape[1:] + (N + 1,)) for _ in stats]
+        self.v0 = v[0]
+        self.out = [np.empty(s.shape[1:] + (N + 1,)) for s in stats(v, self.v0)]
         self._record(0, v)
 
     def node(self, k, X):
@@ -103,8 +108,8 @@ class _NodeSums(_Reducer):
         return True
 
     def _record(self, k, v):
-        for total, fn in zip(self.out, self.stats):
-            total[..., k] = np.add.reduce(fn(v), axis=0)  # np.sum, minus its call overhead
+        for total, s in zip(self.out, self.stats(v, self.v0)):
+            total[..., k] = np.add.reduce(s, axis=0)  # np.sum, minus its call overhead
 
 
 class _PairSums(_NodeSums):
@@ -212,11 +217,16 @@ def _check_exclusions(count: int, n_samples: int, what: str) -> None:
         logger.warning("%s: excluded %d of %d divergent samples", what, excluded, n_samples)
 
 
-def _sup_of_means(sums, sumsq, count, seed) -> MCEstimate:
-    """The largest of the per-node means, with the standard error at its argmax."""
+def _sup_of_means(sums, dev, dev_sq, count, seed) -> MCEstimate:
+    """The largest of the per-node means, with the standard error at its argmax.
+
+    The variance is taken from the sums of v - v0 and their squares, so it
+    does not cancel when a node's mean is large against its spread: where
+    every sample equals v0, the error is exactly 0.
+    """
     means = sums / count
     i = int(np.argmax(means))
-    var = max(0.0, (sumsq.flat[i] - sums.flat[i] ** 2 / count) / (count - 1))
+    var = max(0.0, (dev_sq.flat[i] - dev.flat[i] ** 2 / count) / (count - 1))
     return MCEstimate(
         mean=float(means.flat[i]),
         std_error=float(math.sqrt(var / count)),
@@ -225,14 +235,17 @@ def _sup_of_means(sums, sumsq, count, seed) -> MCEstimate:
     )
 
 
-_SUM_AND_SQUARES = (lambda v: v, lambda v: v * v)
+def _mean_and_spread(v, v0):
+    """The node stats of ``_sup_of_means``: v, and v - v0 with its square."""
+    dev = v - v0
+    return v, dev, dev * dev
 
 
 # -- coupled evolution of a pair of solutions -------------------------------
 
 
 def _pair_sums(model, x, y, grid, seed, n_samples, stats, threads, what):
-    """Per-node sums of each stat(|X^x - X^y|) across the included samples."""
+    """Per-node sums of each array of stats(|X^x - X^y|, |x - y|) across the included samples."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != (model.d,) or y.shape != (model.d,):
@@ -259,10 +272,10 @@ def estimate_distance(
     exactly |x - y|) participates.  The standard error is that of the mean
     at the argmax node.
     """
-    count, (sums, sumsq) = _pair_sums(
-        model, x, y, grid, seed, n_samples, _SUM_AND_SQUARES, threads, "estimate_distance"
+    count, sums = _pair_sums(
+        model, x, y, grid, seed, n_samples, _mean_and_spread, threads, "estimate_distance"
     )
-    return _sup_of_means(sums, sumsq, count, seed)
+    return _sup_of_means(*sums, count, seed)
 
 
 # -- the F/G decomposition ---------------------------------------------------
@@ -312,7 +325,7 @@ def fg_decomposition_check(
     """
     count, (sums, g2, f2) = _pair_sums(
         model, x, y, grid, seed, n_samples,
-        [lambda v: v, lambda v: fg_G(v) ** 2, lambda v: fg_F(v) ** 2],
+        lambda v, _: (v, fg_G(v) ** 2, fg_F(v) ** 2),
         threads, "fg_decomposition_check",
     )
     lhs = sums / count
@@ -435,10 +448,9 @@ def moment_bound_check(
     if sup_outside:
         count, outs = _ensemble(
             model, pts, grid, seed, n_samples, threads,
-            lambda X: _NodeSums(X, grid.N, moment, _SUM_AND_SQUARES), "moment_bound_check",
+            lambda X: _NodeSums(X, grid.N, moment, _mean_and_spread), "moment_bound_check",
         )
-        sums, sumsq = np.sum(outs, axis=0)
-        return _sup_of_means(sums, sumsq, count, seed)
+        return _sup_of_means(*np.sum(outs, axis=0), count, seed)
     _, outs = _ensemble(
         model, pts, grid, seed, n_samples, threads,
         lambda X: _RunningMax(X, lambda X: [np.max(moment(X), axis=1)]), "moment_bound_check",
@@ -616,19 +628,14 @@ class RegularityReport:
         )
 
     def write_csv(self, fileobj) -> None:
-        writer = csv.writer(fileobj)
-        writer.writerow(["h", "empirical_mean", "empirical_se", "theoretical", "pass"])
-        for i, h in enumerate(self.ladder):
-            e = self.empirical[i]
-            writer.writerow(
-                [
-                    repr(float(h)),
-                    repr(float(e.mean)),
-                    repr(float(e.std_error)),
-                    repr(float(self.theoretical[i])),
-                    "true" if self.rung_passed(i) else "false",
-                ]
-            )
+        _write_table(
+            fileobj,
+            ["h", "empirical_mean", "empirical_se", "theoretical", "pass"],
+            (
+                [h, e.mean, e.std_error, t, self.rung_passed(i)]
+                for i, (h, e, t) in enumerate(zip(self.ladder, self.empirical, self.theoretical))
+            ),
+        )
 
 
 def verify_modulus(

@@ -15,8 +15,6 @@ differences of two coupled solves converge to it at rate O(eps).
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -25,13 +23,14 @@ import numpy as np
 from .errors import GridMismatchError
 from .integrator import SolutionPath, euler_solve_many
 from .model import DriftModel
-from .paths import BrownianPath, TimeGrid
+from .paths import BrownianPath, TimeGrid, _write_series
 
 __all__ = [
     "VariationalPath",
     "GrowthBound",
     "PathwiseBound",
     "FDCheck",
+    "FULL",
     "variational_solve",
     "finite_difference_check",
     "finite_difference_profile",
@@ -218,7 +217,4 @@ def variational_to_csv(var: VariationalPath, fileobj) -> None:
     """Write a single-direction variational path as CSV with columns t, D_1..D_d."""
     if var.full:
         raise ValueError("CSV export is defined for single-direction paths")
-    writer = csv.writer(fileobj)
-    writer.writerow(["t"] + [f"D_{j + 1}" for j in range(var.d)])
-    for t, row in zip(var.grid.times(), var.dirs):
-        writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    _write_series(fileobj, var.grid, "D", var.dirs)

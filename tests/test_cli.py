@@ -7,11 +7,21 @@ independent of --threads.
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
-from sdemodulus.cli import ExperimentConfig, UsageError, main
+from sdemodulus.cli import (
+    ExperimentConfig,
+    UsageError,
+    _build_parser,
+    _config_from_args,
+    _parse_bool,
+    _parse_floats,
+    main,
+)
 
 
 # -- config file handling ------------------------------------------------------------
@@ -248,3 +258,52 @@ def test_flag_overrides_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["N_used"] == 8
+
+
+# -- the option surface --------------------------------------------------------------
+
+
+def test_unread_flag_is_rejected(capsys):
+    assert main(["solve", "--model", "zero", "--ladder", "1e-1", "--deterministic"]) == 1
+    assert main(["check-model", "--model", "zero", "--samples", "5", "--deterministic"]) == 1
+    assert main(["verify-modulus", "--model", "zero", "--c", "1"]) == 1
+    assert "unrecognized arguments: --c" in capsys.readouterr().err
+
+
+def test_config_may_hold_keys_the_subcommand_does_not_read(tmp_path, capsys):
+    p = tmp_path / "exp.ini"
+    p.write_text("[experiment]\nmodel = zero\nsteps = 4\nladder = 1e-1, 1e-2\n")
+    assert main(["solve", "--config", str(p), "--deterministic"]) == 0
+    capsys.readouterr()
+
+
+_TEXT = {float: "0.5", int: "3", str: "zero", _parse_floats: "0.5, 0.25", _parse_bool: "true"}
+_STR_TEXT = {"format": "csv", "norm_state": "max", "norm_noise": "max"}
+
+
+def _subcommand_flags():
+    """(subcommand, dest) -> option strings, read from the built parser."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        (command, action.dest): action.option_strings
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+    }
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
+def test_every_field_is_a_flag_and_a_config_key(field):
+    parse = field.metadata["parse"]
+    text = _STR_TEXT.get(field.name, _TEXT[parse])
+    want = parse(text)
+    assert want != field.default
+
+    flags = _subcommand_flags()
+    command = next(c for c, dest in flags if dest == field.name)
+    flag = flags[command, field.name][0]
+    argv = [command, "--model", "zero", flag] + ([] if parse is _parse_bool else [text])
+    cfg = _config_from_args(_build_parser().parse_args(argv))
+    assert getattr(cfg, field.name) == want
+
+    cfg = ExperimentConfig.from_ini(f"[experiment]\n{field.name} = {text}\n")
+    assert getattr(cfg, field.name) == want

@@ -156,6 +156,36 @@ def test_drift_model_sigma_shape_validation():
         )
 
 
+def test_batch_row_loop_fallback():
+    """Callables that ignore the stack shape are evaluated row by row."""
+    m = DriftModel(
+        name="rows",
+        d=2,
+        m=2,
+        mu=lambda x: np.array([np.sum(x), np.max(x)]),
+        mu_jac=lambda x: np.array([[1.0, 1.0], [0.0, np.sum(x)]]),
+        sigma=np.eye(2),
+        kappa=1.0,
+        lyapunov=LyapunovSpec(
+            V=lambda x: 1.0 + np.sum(np.square(x)),
+            V_grad=lambda x: 2.0 * np.ravel(x)[:2],
+            phi_kappa=1.0,
+            phi_alpha=1.0,
+        ),
+    )
+    x = np.array([[0.5, -1.0], [2.0, 0.25], [-3.0, 1.5]])
+    for batch, fn in [
+        (m.mu_batch, m.mu),
+        (m.mu_jac_batch, m.mu_jac),
+        (m.v_batch, m.lyapunov.V),
+        (m.v_grad_batch, m.lyapunov.V_grad),
+    ]:
+        rows = np.array([fn(p) for p in x])
+        got = batch(x)
+        assert got.shape == rows.shape
+        np.testing.assert_array_equal(got, rows)
+
+
 def test_phi_state_matches_formula():
     m = catalog_model("oscillatory1d")  # kappa = 3
     xs = np.array([[0.0], [1.5], [-2.0]])

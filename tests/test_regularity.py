@@ -76,6 +76,14 @@ def test_distance_includes_node_zero():
     assert est.mean == pytest.approx(3.0, rel=1e-15)
 
 
+def test_distance_standard_error_exact_where_samples_agree():
+    """At node 0 every sample equals |x - y|, so the SE there is exactly 0."""
+    m = catalog_model("ou_nd", d=2)
+    est = estimate_distance(m, [0.5, 0.0], [0.5 + 1e-3, 0.0], TimeGrid(1.0, 64), 777, seed=1)
+    assert est.mean == pytest.approx(1e-3, rel=1e-12)  # the OU distance decays: sup at t = 0
+    assert est.std_error == 0.0
+
+
 def test_distance_thread_invariance():
     m = catalog_model("oscillatory1d")
     args = (m, np.array([0.5]), np.array([0.4]), TimeGrid(1.0, 64), 300, 9)
