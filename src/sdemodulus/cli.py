@@ -167,21 +167,6 @@ class ExperimentConfig:
         if self.tol is not None and self.tol <= 0.0:
             raise UsageError(f"tol must be positive, got {self.tol}")
 
-    def to_ini(self) -> str:
-        lines = ["[experiment]"]
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            if isinstance(v, tuple):
-                v = ", ".join(repr(float(x)) for x in v)
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, float):
-                v = repr(v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_ini(cls, text: str, source: str = "<config>") -> "ExperimentConfig":
         return dataclasses.replace(cls(), **_parse_ini(text, source))
@@ -347,8 +332,8 @@ def _run_check_model(cfg: ExperimentConfig) -> int:
     growth = check_derivative_growth(model, x_points, slack=cfg.slack, seed=cfg.seed)
     lyap = check_lyapunov(model, x_points, z_points, slack=cfg.slack)
     fd_pts = x_points[:: max(1, len(x_points) // 25)]
-    fd_jac = max(jacobian_fd_error(model, x) for x in fd_pts)
-    fd_grad = max(lyapunov_grad_fd_error(model, x) for x in fd_pts)
+    fd_jac = jacobian_fd_error(model, fd_pts)
+    fd_grad = lyapunov_grad_fd_error(model, fd_pts)
     ok = growth.ok and lyap.ok and fd_jac <= tol and fd_grad <= tol
     _emit(cfg, {
         "model": model.name,
@@ -409,17 +394,13 @@ def _run_solve(cfg: ExperimentConfig) -> int:
     path = sample_path(cfg.seed, grid, model.m)
     x0 = _vector(cfg, "x0", model.d, 0.0)
     payload: dict = {"model": model.name, "T": cfg.T, "seed": cfg.seed, "x0": list(map(float, x0))}
-    try:
-        if cfg.tol is not None:
-            res = solve_adaptive(model, x0, path, cfg.tol)
-            sol = res.solution
-            payload.update(N_used=res.N_used, est_error=res.est_error, converged=res.converged)
-        else:
-            sol = euler_solve(model, x0, path)
-            payload["N_used"] = grid.N
-    except DivergenceError as exc:
-        print(f"sdemod: trajectory diverged at step {exc.step}", file=sys.stderr)
-        return 2
+    if cfg.tol is not None:
+        res = solve_adaptive(model, x0, path, cfg.tol)
+        sol = res.solution
+        payload.update(N_used=res.N_used, est_error=res.est_error, converged=res.converged)
+    else:
+        sol = euler_solve(model, x0, path)
+        payload["N_used"] = grid.N
     payload.update(
         final_state=[float(v) for v in sol.states[-1]],
         sup_norm=float(np.max(model.norm_state(sol.states))),
@@ -436,11 +417,7 @@ def _run_variational(cfg: ExperimentConfig) -> int:
     x0 = _vector(cfg, "x0", model.d, 0.0)
     h = _vector(cfg, "direction", model.d, 1.0)
     tol = cfg.tol if cfg.tol is not None else 1e-3
-    try:
-        sol = euler_solve(model, x0, path)
-    except DivergenceError as exc:
-        print(f"sdemod: trajectory diverged at step {exc.step}", file=sys.stderr)
-        return 2
+    sol = euler_solve(model, x0, path)
     var = variational_solve(model, sol, h)
     gb = growth_bound_check(model, sol, var)
     fd = finite_difference_check(model, x0, h, path, eps=1e-5)
@@ -530,6 +507,9 @@ def main(argv=None) -> int:
         return 1
     except EstimatorError as exc:
         print(f"sdemod: estimator failure: {exc}", file=sys.stderr)
+        return 2
+    except DivergenceError as exc:
+        print(f"sdemod: trajectory diverged at step {exc.step}", file=sys.stderr)
         return 2
 
 

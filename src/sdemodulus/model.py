@@ -17,7 +17,8 @@ Model functions are written to broadcast over leading axes: they accept a
 single point of shape ``(d,)`` or a stack of points of shape ``(..., d)``.
 For one-dimensional models a bare scalar is also accepted and treated
 elementwise.  The batch helpers on :class:`DriftModel` fall back to a row
-loop for user functions that do not broadcast.
+loop for user functions that do not broadcast.  Every catalog drift acts on
+each coordinate alone, so its Jacobian is diagonal.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -298,46 +299,31 @@ def check_lyapunov(
 # -- finite-difference consistency probes --------------------------------
 
 
-def jacobian_fd_error(model: DriftModel, points: np.ndarray) -> float:
-    """Max relative discrepancy between mu_jac and central differences of mu.
+def _fd_error(model: DriftModel, points: np.ndarray, fn, exact) -> float:
+    """Max relative discrepancy between ``exact`` and central differences of ``fn``.
 
-    The step is 1e-6 * (1 + |x|) per point; the discrepancy is measured
-    relative to 1 + |mu_jac(x)| entrywise-max, so flat regions do not blow up
-    the quotient.
+    The step is 1e-6 * (1 + |x|) per point; the discrepancy is relative to
+    1 + |exact(x)| entrywise-max, so flat regions do not blow up the quotient.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    jacs = model.mu_jac_batch(pts)
     worst = 0.0
-    for p, jac in zip(pts, jacs):
+    for p, want in zip(pts, exact(pts)):
         step = 1e-6 * (1.0 + float(model.norm_state(p)))
-        cols = []
-        for j in range(model.d):
-            e = np.zeros(model.d)
-            e[j] = step
-            cols.append((model.mu_batch(p + e) - model.mu_batch(p - e)) / (2.0 * step))
-        fd = np.stack(cols, axis=-1)
-        scale = 1.0 + np.abs(jac).max()
-        worst = max(worst, float(np.abs(fd - jac).max() / scale))
+        steps = step * np.eye(model.d)
+        fd = np.stack([(fn(p + e) - fn(p - e)) / (2.0 * step) for e in steps], axis=-1)
+        scale = 1.0 + np.abs(want).max()
+        worst = max(worst, float(np.abs(fd - want).max() / scale))
     return worst
+
+
+def jacobian_fd_error(model: DriftModel, points: np.ndarray) -> float:
+    """Max relative discrepancy between mu_jac and central differences of mu."""
+    return _fd_error(model, points, model.mu_batch, model.mu_jac_batch)
 
 
 def lyapunov_grad_fd_error(model: DriftModel, points: np.ndarray) -> float:
     """Max relative discrepancy between V_grad and central differences of V."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    grads = model.v_grad_batch(pts)
-    worst = 0.0
-    for p, grad in zip(pts, grads):
-        step = 1e-6 * (1.0 + float(model.norm_state(p)))
-        fd = np.empty(model.d)
-        for j in range(model.d):
-            e = np.zeros(model.d)
-            e[j] = step
-            fd[j] = (model.v_batch((p + e)[None])[0] - model.v_batch((p - e)[None])[0]) / (
-                2.0 * step
-            )
-        scale = 1.0 + np.abs(grad).max()
-        worst = max(worst, float(np.abs(fd - grad).max() / scale))
-    return worst
+    return _fd_error(model, points, model.v_batch, model.v_grad_batch)
 
 
 # -- default sweep grids --------------------------------------------------
@@ -388,20 +374,77 @@ def _smooth_v(scale: float):
     return V, V_grad
 
 
-def _jac_1d(dfn):
-    """Lift an elementwise scalar derivative to the (..., 1, 1) Jacobian shape."""
+def _diagonal_jac(slope, d: int):
+    """diag(slope(x)), the Jacobian of a drift that acts on each coordinate alone.
+
+    An (..., d) stack gives (..., d, d); other input, such as a bare scalar, is elementwise.
+    """
 
     def jac(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim and x.shape[-1] == 1:
-            return dfn(x[..., 0])[..., None, None]
-        return dfn(x)
+        if not (x.ndim and x.shape[-1] == d):
+            return slope(x)
+        out = np.zeros(x.shape + (d,))
+        out[..., np.arange(d), np.arange(d)] = slope(x)
+        return out
 
     return jac
 
 
+def _zero(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def _negate(x):
+    return -np.asarray(x, dtype=float)
+
+
+def _oscillatory(x):
+    x = np.asarray(x, dtype=float)
+    return -x + np.sin(x * x)
+
+
+def _cubic(x):
+    x = np.asarray(x, dtype=float)
+    return -(x ** 3)
+
+
+def _tanh(x):
+    return np.tanh(np.asarray(x, dtype=float))
+
+
+class _Entry(NamedTuple):
+    """One catalog model; the hand proofs in ``catalog_model`` justify its constants."""
+
+    mu: Callable  # acts on each coordinate alone
+    slope: Callable  # d mu_i / d x_i, elementwise
+    d: int | None  # default dimension; None for the fixed one-dimensional entries
+    noise: float  # sigma = noise * I
+    kappa: float
+    phi_kappa: Callable  # (d, noise_factor) -> phi_kappa
+    phi_alpha: float
+
+
+_CATALOG = {
+    "zero": _Entry(_zero, np.zeros_like, 1, 1.0, 0.0, lambda d, f: 1.0, 0.0),
+    "linear1d": _Entry(_negate, lambda s: -np.ones_like(s), None, 1.0, 1.0, lambda d, f: f, 1.0),
+    "ou_nd": _Entry(_negate, lambda s: -np.ones_like(s), 2, 1.0, 1.0, lambda d, f: f, 1.0),
+    "oscillatory1d": _Entry(
+        _oscillatory, lambda s: -1.0 + 2.0 * s * np.cos(s * s), None, 1.0, 3.0,
+        lambda d, f: 2.0 * f, 1.0,
+    ),
+    "cubic_deterministic": _Entry(
+        _cubic, lambda s: -3.0 * s * s, None, 0.0, 3.0, lambda d, f: 0.5, 0.0,
+    ),
+    "bounded_tanh": _Entry(
+        _tanh, lambda s: 1.0 - np.tanh(s) ** 2, 2, 1.0, 1.0,
+        lambda d, f: 0.5 * math.sqrt(d) * f, 0.0,
+    ),
+}
+
+
 def catalog_names() -> tuple:
-    return ("zero", "linear1d", "ou_nd", "oscillatory1d", "cubic_deterministic", "bounded_tanh")
+    return tuple(_CATALOG)
 
 
 def catalog_model(
@@ -442,112 +485,21 @@ def catalog_model(
     """
     ns = NormSpec(norm_state)
     nn = NormSpec(norm_noise)
-
-    def dim(default: int, fixed: bool = False) -> int:
-        if d is None:
-            return default
-        if fixed and d != default:
-            raise ValueError(f"model {name!r} is one-dimensional; d={d} is not supported")
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        return d
-
-    def v_pair(dd: int):
-        scale = math.sqrt(dd) if norm_state == "one" else 1.0
-        return _smooth_v(scale)
-
-    def noise_factor(mm: int) -> float:
-        # |z|_2 <= sqrt(m) |z|_max and |z|_2 <= |z|_1, so only max needs rescaling.
-        return math.sqrt(mm) if norm_noise == "max" else 1.0
-
     name = str(name)
-    if name == "zero":
-        dd = dim(1)
-        V, Vg = v_pair(dd)
-
-        def mu(x):
-            return np.zeros_like(np.asarray(x, dtype=float))
-
-        def jac(x):
-            x = np.asarray(x, dtype=float)
-            if x.ndim and x.shape[-1] == dd:
-                return np.zeros(x.shape + (dd,))
-            return np.zeros_like(x)
-
-        ly = LyapunovSpec(V, Vg, phi_kappa=1.0, phi_alpha=0.0)
-        return DriftModel(name, dd, dd, mu, jac, np.eye(dd), kappa if kappa is not None else 0.0,
-                          ly, ns, nn)
-
-    if name == "linear1d":
-        dim(1, fixed=True)
-        V, Vg = v_pair(1)
-
-        def mu(x):
-            return -np.asarray(x, dtype=float)
-
-        jac = _jac_1d(lambda s: -np.ones_like(s))
-        ly = LyapunovSpec(V, Vg, phi_kappa=noise_factor(1), phi_alpha=1.0)
-        return DriftModel(name, 1, 1, mu, jac, np.ones((1, 1)),
-                          kappa if kappa is not None else 1.0, ly, ns, nn)
-
-    if name == "ou_nd":
-        dd = dim(2)
-        V, Vg = v_pair(dd)
-
-        def mu(x):
-            return -np.asarray(x, dtype=float)
-
-        def jac(x):
-            x = np.asarray(x, dtype=float)
-            return np.broadcast_to(-np.eye(dd), x.shape + (dd,)).copy()
-
-        ly = LyapunovSpec(V, Vg, phi_kappa=noise_factor(dd), phi_alpha=1.0)
-        return DriftModel(name, dd, dd, mu, jac, np.eye(dd),
-                          kappa if kappa is not None else 1.0, ly, ns, nn)
-
-    if name == "oscillatory1d":
-        dim(1, fixed=True)
-        V, Vg = v_pair(1)
-
-        def mu(x):
-            x = np.asarray(x, dtype=float)
-            return -x + np.sin(x * x)
-
-        jac = _jac_1d(lambda s: -1.0 + 2.0 * s * np.cos(s * s))
-        ly = LyapunovSpec(V, Vg, phi_kappa=2.0 * noise_factor(1), phi_alpha=1.0)
-        return DriftModel(name, 1, 1, mu, jac, np.ones((1, 1)),
-                          kappa if kappa is not None else 3.0, ly, ns, nn)
-
-    if name == "cubic_deterministic":
-        dim(1, fixed=True)
-        V, Vg = v_pair(1)
-
-        def mu(x):
-            x = np.asarray(x, dtype=float)
-            return -(x ** 3)
-
-        jac = _jac_1d(lambda s: -3.0 * s * s)
-        ly = LyapunovSpec(V, Vg, phi_kappa=0.5, phi_alpha=0.0)
-        return DriftModel(name, 1, 1, mu, jac, np.zeros((1, 1)),
-                          kappa if kappa is not None else 3.0, ly, ns, nn)
-
-    if name == "bounded_tanh":
-        dd = dim(2)
-        V, Vg = v_pair(dd)
-
-        def mu(x):
-            return np.tanh(np.asarray(x, dtype=float))
-
-        def jac(x):
-            x = np.asarray(x, dtype=float)
-            t = 1.0 - np.tanh(x) ** 2
-            out = np.zeros(x.shape + (dd,))
-            idx = np.arange(dd)
-            out[..., idx, idx] = t
-            return out
-
-        ly = LyapunovSpec(V, Vg, phi_kappa=0.5 * math.sqrt(dd) * noise_factor(dd), phi_alpha=0.0)
-        return DriftModel(name, dd, dd, mu, jac, np.eye(dd),
-                          kappa if kappa is not None else 1.0, ly, ns, nn)
-
-    raise CatalogError(f"unknown model {name!r}; known: {catalog_names()}")
+    if name not in _CATALOG:
+        raise CatalogError(f"unknown model {name!r}; known: {catalog_names()}")
+    row = _CATALOG[name]
+    if d is None:
+        d = row.d or 1
+    elif row.d is None and d != 1:
+        raise ValueError(f"model {name!r} is one-dimensional; d={d} is not supported")
+    elif d < 1:
+        raise ValueError("d must be >= 1")
+    V, V_grad = _smooth_v(math.sqrt(d) if norm_state == "one" else 1.0)
+    # |z|_2 <= sqrt(m) |z|_max and |z|_2 <= |z|_1, so only max needs rescaling.
+    noise_factor = math.sqrt(d) if norm_noise == "max" else 1.0
+    ly = LyapunovSpec(V, V_grad, row.phi_kappa(d, noise_factor), row.phi_alpha)
+    return DriftModel(
+        name, d, d, row.mu, _diagonal_jac(row.slope, d), row.noise * np.eye(d),
+        row.kappa if kappa is None else kappa, ly, ns, nn,
+    )

@@ -17,7 +17,7 @@ import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -107,12 +107,7 @@ class MCEstimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), **kw)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -367,8 +367,8 @@ def ball_lattice(model: DriftModel, radius: float, points_per_axis: int) -> np.n
 
 
 def _lattice_starts(model, R, x_grid_points, lattice):
-    if R < 0.0:
-        raise ValueError(f"R must be >= 0, got {R}")
+    if not 0.0 <= R < math.inf:
+        raise ValueError(f"R must be finite and >= 0, got {R}")
     if lattice is None:
         return ball_lattice(model, R + 1.0, x_grid_points)
     return np.atleast_2d(np.asarray(lattice, dtype=float))
@@ -395,10 +395,10 @@ def estimate_K(
     under-estimates the ball sup, the result (mean and error alike) is
     scaled by ``safety``.
     """
-    if q < 0.0:
-        raise ValueError(f"q must be >= 0, got {q}")
-    if safety <= 0.0:
-        raise ValueError(f"safety must be positive, got {safety}")
+    if not 0.0 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 0, got {q}")
+    if not 0.0 < safety < math.inf:
+        raise ValueError(f"safety must be finite and positive, got {safety}")
     pts = _lattice_starts(model, R, x_grid_points, lattice)
     expo = 4.0 * q + 4.0
 
@@ -531,19 +531,11 @@ class RegularityConstants:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "R": self.R,
-            "q": self.q,
-            "K": self.K,
-            "Kcal": self.Kcal,
-            "c_local": self.c_local,
-            "C": self.C,
-            "c_global": self.c_global,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegularityConstants":
-        return cls(**{k: float(d[k]) for k in ("R", "q", "K", "Kcal", "c_local", "C", "c_global")})
+        return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
 
 
 def _rung_passes(empirical: MCEstimate, theoretical: float) -> bool:
@@ -668,10 +660,10 @@ def verify_modulus(
         raise ValueError("ladder entries must lie strictly inside (0, 1)")
     if any(a <= b for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly decreasing")
-    if q <= 0.0:
-        raise ValueError(f"q must be positive, got {q}")
-    if R <= 0.0:
-        raise ValueError(f"R must be positive, got {R}")
+    if not 0.0 < q < math.inf:
+        raise ValueError(f"q must be finite and positive, got {q}")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be finite and positive, got {R}")
     x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
     if x_center.shape != (model.d,):
         raise ValueError(f"x_center must have shape ({model.d},)")

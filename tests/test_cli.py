@@ -28,6 +28,21 @@ from sdemodulus.cli import (
 
 
 def test_config_ini_roundtrip():
+    text = """\
+[experiment]
+model = oscillatory1d
+T = 2.0
+steps = 512
+samples = 300
+seed = 42
+x0 = 0.5
+direction = 1.0
+ladder = 0.1, 0.001
+q = 0.5
+tol = 0.0001
+deterministic = true
+format = csv
+"""
     cfg = ExperimentConfig(
         model="oscillatory1d",
         T=2.0,
@@ -42,13 +57,36 @@ def test_config_ini_roundtrip():
         deterministic=True,
         format="csv",
     )
-    assert ExperimentConfig.from_ini(cfg.to_ini()) == cfg
+    assert ExperimentConfig.from_ini(text) == cfg
 
 
 def test_config_roundtrip_preserves_none_tol():
+    text = """\
+[experiment]
+model = zero
+T = 1.0
+steps = 256
+samples = 1000
+seed = 0
+ladder = 0.1, 0.01, 0.001, 0.0001, 1e-05, 1e-06, 1e-07, 1e-08
+q = 1.0
+R = 1.5
+safety = 1.2
+u_grid = 33
+lattice_points = 9
+slack = 1e-09
+format = json
+threads = 1
+deterministic = false
+c = 1.0
+alpha = 1.0
+r = 1.0
+norm_state = euclidean
+norm_noise = euclidean
+"""
     cfg = ExperimentConfig(model="zero")
     assert cfg.tol is None
-    again = ExperimentConfig.from_ini(cfg.to_ini())
+    again = ExperimentConfig.from_ini(text)
     assert again.tol is None
     assert again == cfg
 
@@ -188,6 +226,15 @@ def test_solve_divergence_exit_2(capsys):
     assert "diverged" in capsys.readouterr().err.lower()
 
 
+def test_variational_divergence_exit_2(capsys):
+    code = main(
+        ["variational", "--model", "cubic_deterministic", "--x0", "1e5",
+         "--dir", "1", "--steps", "4", "--deterministic"]
+    )
+    assert code == 2
+    assert "trajectory diverged at step" in capsys.readouterr().err
+
+
 def test_variational_passes(capsys):
     code = main(
         ["variational", "--model", "oscillatory1d", "--x0", "0.3",
@@ -249,6 +296,18 @@ def test_verify_modulus_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "h,empirical_mean,empirical_se,theoretical,pass"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("flag", ["--R", "--safety"])
+def test_verify_modulus_non_finite_radius_or_safety_exits_1(flag, capsys):
+    args = [
+        "verify-modulus", "--model", "zero", "--x0", "0", "--dir", "1", "--samples", "4",
+        "--steps", "4", "--ladder", "0.1,0.01", "--lattice-points", "3", "--deterministic",
+    ]
+    assert main(args + [flag, "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag[2:]} must be" in captured.err
 
 
 def test_flag_overrides_config(tmp_path, capsys):

@@ -307,6 +307,45 @@ def test_lyapunov_grad_matches_finite_differences():
             assert lyapunov_grad_fd_error(m, x) <= 1e-5, name
 
 
+def test_fd_probes_take_the_max_over_their_points():
+    for name in catalog_names():
+        m = catalog_model(name)
+        pts = default_point_grid(m.d)[::97]
+        for probe in (jacobian_fd_error, lyapunov_grad_fd_error):
+            assert probe(m, pts) == max(probe(m, p) for p in pts), name
+
+
+# -- diagonal Jacobians -------------------------------------------------------
+
+_SLOPES = {
+    "zero": lambda x: np.zeros_like(x),
+    "linear1d": lambda x: -np.ones_like(x),
+    "ou_nd": lambda x: -np.ones_like(x),
+    "oscillatory1d": lambda x: -1.0 + 2.0 * x * np.cos(x * x),
+    "cubic_deterministic": lambda x: -3.0 * x * x,
+    "bounded_tanh": lambda x: 1.0 - np.tanh(x) ** 2,
+}
+
+
+@pytest.mark.parametrize(
+    "name, d",
+    [(name, None) for name in catalog_names()] + [("zero", 3), ("ou_nd", 3), ("bounded_tanh", 3)],
+)
+def test_catalog_jacobian_is_diag_of_the_slope(name, d):
+    """Every catalog drift acts on each coordinate alone, so its Jacobian is diagonal."""
+    m = catalog_model(name, d=d)
+    x = np.random.default_rng(11).uniform(-2.0, 2.0, (4, 3, m.d))
+    jac = m.mu_jac_batch(x)
+    assert jac.shape == (4, 3, m.d, m.d)
+    off = ~np.eye(m.d, dtype=bool)
+    assert np.all(jac[..., off] == 0.0)
+    assert np.allclose(np.diagonal(jac, axis1=-2, axis2=-1), _SLOPES[name](x), rtol=1e-14, atol=0)
+    if m.d == 1:
+        scalar = m.mu_jac(0.5)
+        assert np.ndim(scalar) == 0
+        assert float(scalar) == pytest.approx(float(_SLOPES[name](np.float64(0.5))), rel=1e-14)
+
+
 # -- norm variants ------------------------------------------------------------
 
 

@@ -202,6 +202,22 @@ def test_estimate_K_validation():
         estimate_K(m, 1.0, 0.0, grid, 1, 0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("arg", ["q", "R", "safety"])
+def test_non_finite_argument_is_rejected(arg, value):
+    """NaN passes a check written as ``x <= 0`` and inf makes K infinite: both must fail."""
+    m = catalog_model("zero")
+    grid = TimeGrid(1.0, 4)
+    kw = {"q": 1.0, "R": 1.0, "safety": 1.2, arg: value}
+    with pytest.raises(ValueError, match=rf"^{arg} must"):
+        estimate_K(m, kw["R"], kw["q"], grid, 8, 0, x_grid_points=3, safety=kw["safety"])
+    with pytest.raises(ValueError, match=rf"^{arg} must"):
+        verify_modulus(
+            m, [0.0], [1.0], (0.1, 0.01), kw["q"], kw["R"], grid, 8, 0,
+            safety=kw["safety"], x_grid_points=3,
+        )
+
+
 # -- moment bound --------------------------------------------------------------------
 
 
