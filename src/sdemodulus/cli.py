@@ -160,10 +160,6 @@ class ExperimentConfig:
             raise UsageError(f"threads must be >= 1, got {self.threads}")
         if self.u_grid < 2:
             raise UsageError(f"u_grid must be >= 2, got {self.u_grid}")
-        if self.lattice_points < 1:
-            raise UsageError(f"lattice_points must be >= 1, got {self.lattice_points}")
-        if self.safety <= 0.0:
-            raise UsageError(f"safety must be positive, got {self.safety}")
         if self.tol is not None and self.tol <= 0.0:
             raise UsageError(f"tol must be positive, got {self.tol}")
 
@@ -249,7 +245,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-        cfg = dataclasses.replace(cfg, **_parse_ini(text, args.config))
+        cfg = ExperimentConfig.from_ini(text, args.config)
     overrides = {k: v for k, v in vars(args).items() if k in _OPTIONS and v is not None}
     cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()

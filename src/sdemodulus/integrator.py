@@ -31,7 +31,6 @@ __all__ = [
     "AdaptiveResult",
     "euler_solve",
     "euler_solve_many",
-    "interpolate",
     "solve_adaptive",
     "verify_integral_equation",
     "solution_to_csv",
@@ -117,23 +116,6 @@ def euler_solve_many(model: DriftModel, x0s: np.ndarray, path: BrownianPath) -> 
                 )
             out[:, n + 1, :] = nxt
     return out
-
-
-def interpolate(sol: SolutionPath, t: float) -> np.ndarray:
-    """Piecewise-linear value of the solution at time t in [0, T]; exact at nodes."""
-    T, N = sol.grid.T, sol.grid.N
-    t = float(t)
-    if not (0.0 <= t <= T):
-        raise ValueError(f"t = {t} outside the solution interval [0, {T}]")
-    if T == 0.0:
-        return sol.states[0].copy()
-    pos = t * N / T
-    k = int(round(pos))
-    if 0 <= k <= N and t == k * T / N:
-        return sol.states[k].copy()
-    n = min(int(math.floor(pos)), N - 1)
-    lam = pos - n
-    return (1.0 - lam) * sol.states[n] + lam * sol.states[n + 1]
 
 
 def solve_adaptive(model: DriftModel, x0, fine_path: BrownianPath, tol: float) -> AdaptiveResult:

@@ -14,7 +14,6 @@ is refined (roughly like ``N**-0.5`` for Brownian suprema).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -37,7 +36,6 @@ __all__ = [
     "path_sup_stats",
     "estimate_exp_moment",
     "estimate_poly_moment",
-    "path_to_csv",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -108,18 +106,6 @@ class MCEstimate:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MCEstimate":
-        return cls(
-            mean=float(d["mean"]),
-            std_error=float(d["std_error"]),
-            n_samples=int(d["n_samples"]),
-            seed=int(d["seed"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -278,8 +264,8 @@ def estimate_exp_moment(
     Since exp and |.|**alpha are nondecreasing, the sup is exp(c M**alpha)
     with M the node sup of |W|; that is what each sample evaluates.
     """
-    if c < 0.0:
-        raise ValueError(f"c must be >= 0, got {c}")
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"c must be finite and >= 0, got {c}")
     if not (0.0 <= alpha < 2.0):
         raise ValueError(f"alpha must lie in [0, 2), got {alpha}")
     if n_samples < 1:
@@ -301,8 +287,8 @@ def estimate_poly_moment(
     threads: int = 1,
 ) -> MCEstimate:
     """Estimate E[sup_n |sigma W(t_n)|**r] by Monte Carlo."""
-    if r < 0.0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"r must be finite and >= 0, got {r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
@@ -339,8 +325,3 @@ def _write_series(fileobj, grid: TimeGrid, name: str, values: np.ndarray) -> Non
         ["t"] + [f"{name}_{j + 1}" for j in range(values.shape[1])],
         ([t, *row] for t, row in zip(grid.times(), values)),
     )
-
-
-def path_to_csv(path: BrownianPath, fileobj) -> None:
-    """Write a path as CSV with columns t, W_1, ..., W_m (shortest round-trip floats)."""
-    _write_series(fileobj, path.grid, "W", path.values)

@@ -32,10 +32,9 @@ again from the surviving samples' substreams.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -438,8 +437,8 @@ def moment_bound_check(
     is exactly the constant C of the global modulus bound; the standard
     error is that of the argmax pair.
     """
-    if r < 0.0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"r must be finite and >= 0, got {r}")
     pts = _lattice_starts(model, R, x_grid_points, lattice)
 
     def moment(X):
@@ -533,10 +532,6 @@ class RegularityConstants:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegularityConstants":
-        return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
-
 
 def _rung_passes(empirical: MCEstimate, theoretical: float) -> bool:
     """One rung of the ladder holds: empirical mean - 3 SE <= theoretical."""
@@ -596,29 +591,6 @@ class RegularityReport:
             "safety": self.safety,
         }
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegularityReport":
-        return cls(
-            model_name=str(d["model"]),
-            x_center=tuple(float(v) for v in d["x_center"]),
-            direction=tuple(float(v) for v in d["direction"]),
-            ladder=tuple(float(v) for v in d["ladder"]),
-            empirical=tuple(MCEstimate.from_dict(e) for e in d["empirical"]),
-            theoretical=tuple(float(v) for v in d["theoretical"]),
-            constants=RegularityConstants.from_dict(d["constants"]),
-            fitted_q=float(d["fitted_q"]),
-            fitted_c=float(d["fitted_c"]),
-            n_samples=int(d["n_samples"]),
-            seed=int(d["seed"]),
-            T=float(d["T"]),
-            N=int(d["N"]),
-            lattice_points=int(d["lattice_points"]),
-            safety=float(d["safety"]),
-        )
-
     def write_csv(self, fileobj) -> None:
         _write_table(
             fileobj,
@@ -664,6 +636,10 @@ def verify_modulus(
         raise ValueError(f"q must be finite and positive, got {q}")
     if not 0.0 < R < math.inf:
         raise ValueError(f"R must be finite and positive, got {R}")
+    if not 0.0 < safety < math.inf:
+        raise ValueError(f"safety must be finite and positive, got {safety}")
+    if x_grid_points < 1:
+        raise ValueError(f"x_grid_points must be >= 1, got {x_grid_points}")
     x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
     if x_center.shape != (model.d,):
         raise ValueError(f"x_center must have shape ({model.d},)")

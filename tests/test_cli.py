@@ -259,6 +259,17 @@ def test_moments_runs(capsys):
     assert payload["exp_moment"]["mean"] >= 1.0
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--r", "nan"), ("--r", "inf"), ("--c", "nan"), ("--c", "inf")]
+)
+def test_moments_non_finite_coefficient_exits_1(flag, value, capsys):
+    args = ["moments", "--model", "zero", "--samples", "50", "--steps", "16", "--deterministic"]
+    assert main(args + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag[2:]} must be" in captured.err
+
+
 _VM_ARGS = [
     "verify-modulus", "--model", "zero", "--x0", "0", "--dir", "1",
     "--ladder", "1e-1,1e-2,1e-3", "--q", "1", "--R", "1.5",
@@ -308,6 +319,19 @@ def test_verify_modulus_non_finite_radius_or_safety_exits_1(flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{flag[2:]} must be" in captured.err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_verify_modulus_non_finite_kappa_exits_1(value, capsys):
+    args = [
+        "verify-modulus", "--model", "oscillatory1d", "--x0", "0.5", "--dir", "1",
+        "--samples", "16", "--steps", "16", "--ladder", "0.1,0.01", "--lattice-points", "3",
+        "--deterministic", "--kappa", value,
+    ]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kappa must be" in captured.err
 
 
 def test_flag_overrides_config(tmp_path, capsys):

@@ -21,7 +21,6 @@ from sdemodulus import (
     catalog_model,
     euler_solve,
     euler_solve_many,
-    interpolate,
     restrict,
     sample_path,
     solution_to_csv,
@@ -113,46 +112,6 @@ def test_zero_drift_restriction_shares_nodes_bitwise():
     fine = euler_solve(m, np.array([1.1]), fine_path)
     coarse = euler_solve(m, np.array([1.1]), restrict(fine_path, 32))
     assert np.array_equal(fine.states[::4], coarse.states)
-
-
-# -- interpolation --------------------------------------------------------------
-
-
-def test_interpolate_nodes_exact():
-    m = catalog_model("linear1d")
-    p = sample_path(5, TimeGrid(1.0, 16), 1)
-    sol = euler_solve(m, np.array([1.0]), p)
-    for n in (0, 7, 16):
-        t = n / 16.0
-        assert np.array_equal(interpolate(sol, t), sol.states[n])
-
-
-def test_interpolate_midpoint_mean():
-    g = TimeGrid(1.0, 2)
-    states = np.array([[0.0], [1.0], [5.0]])
-    sol = SolutionPath(g, states, np.array([0.0]), path_seed=0)
-    assert interpolate(sol, 0.25)[0] == pytest.approx(0.5)
-    assert interpolate(sol, 0.75)[0] == pytest.approx(3.0)
-
-
-def test_interpolate_linear_ramp():
-    """Affine node values are reproduced exactly in between."""
-    N = 10
-    g = TimeGrid(1.0, N)
-    states = np.arange(N + 1, dtype=float)[:, None]
-    sol = SolutionPath(g, states, states[0], path_seed=0)
-    for t in (0.05, 0.13, 0.5, 0.99):
-        assert interpolate(sol, t)[0] == pytest.approx(t * N, rel=1e-12)
-
-
-def test_interpolate_domain_error():
-    sol = euler_solve(
-        catalog_model("zero"), np.array([0.0]), zero_path(TimeGrid(1.0, 4), 1)
-    )
-    with pytest.raises(ValueError):
-        interpolate(sol, 1.5)
-    with pytest.raises(ValueError):
-        interpolate(sol, -0.1)
 
 
 # -- adaptive refinement ----------------------------------------------------------

@@ -6,7 +6,6 @@ plus direct arithmetic for the deliberately violating configurations.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -156,6 +155,15 @@ def test_drift_model_sigma_shape_validation():
         )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_growth_constants_are_rejected(value):
+    """NaN passes a check written as ``kappa < 0`` and inf makes every bound vacuous."""
+    with pytest.raises(ValueError, match="^kappa must"):
+        catalog_model("oscillatory1d", kappa=value)
+    with pytest.raises(ValueError, match="^phi_kappa must"):
+        _smooth_lyapunov(phi_kappa=value)
+
+
 def test_batch_row_loop_fallback():
     """Callables that ignore the stack shape are evaluated row by row."""
     m = DriftModel(
@@ -280,7 +288,7 @@ def test_violations_iff_max_ratio_exceeds_slack():
 def test_condition_report_json_shape():
     m = catalog_model("oscillatory1d", kappa=0.5)
     rep = check_derivative_growth(m, default_point_grid(1), seed=0)
-    doc = json.loads(rep.to_json())
+    doc = rep.to_dict()
     assert set(doc) == {"checked_points", "violations", "max_ratio"}
     assert set(doc["violations"][0]) == {"x", "z", "lhs", "rhs"}
 

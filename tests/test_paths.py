@@ -8,8 +8,6 @@ standard errors.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 
 import numpy as np
@@ -25,7 +23,6 @@ from sdemodulus import (
     estimate_exp_moment,
     estimate_poly_moment,
     path_sup_stats,
-    path_to_csv,
     restrict,
     sample_path,
     substream,
@@ -217,6 +214,16 @@ def test_exp_moment_alpha_precondition():
         estimate_exp_moment(-1.0, 1.0, g, 1, 10, seed=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_moment_coefficient_is_rejected(value):
+    """A NaN or infinite c or r would come out as a NaN or inf mean, never an error."""
+    g = TimeGrid(1.0, 8)
+    with pytest.raises(ValueError, match="^c must"):
+        estimate_exp_moment(value, 1.0, g, 1, 10, seed=0)
+    with pytest.raises(ValueError, match="^r must"):
+        estimate_poly_moment(value, np.eye(1), g, 1, 10, seed=0)
+
+
 def test_poly_moment_r_zero_exact():
     est = estimate_poly_moment(0.0, np.eye(1), TimeGrid(1.0, 16), 1, 50, seed=4)
     assert est.mean == 1.0
@@ -284,18 +291,5 @@ def test_grid_sup_monotone_same_realization():
 
 def test_mc_estimate_json_round_trip():
     est = MCEstimate(mean=1.5, std_error=0.01, n_samples=100, seed=9)
-    doc = json.loads(est.to_json())
+    doc = est.to_dict()
     assert set(doc) == {"mean", "std_error", "n_samples", "seed"}
-    assert MCEstimate.from_dict(doc) == est
-
-
-def test_path_to_csv_round_trip():
-    p = sample_path(3, TimeGrid(1.0, 4), 2)
-    buf = io.StringIO()
-    path_to_csv(p, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "t,W_1,W_2"
-    assert len(lines) == 6
-    row = lines[2].split(",")
-    assert float(row[0]) == pytest.approx(0.25)
-    assert float(row[1]) == p.values[1, 0]  # repr round-trips exactly
