@@ -209,6 +209,8 @@ def check_derivative_growth(
     ``seed``, so violations are reproducible.  Both sides scale linearly in
     h, hence unit directions lose no generality.
     """
+    if not 0.0 <= slack < math.inf:  # a NaN or inf slack would pass any ratio
+        raise ValueError(f"slack must be finite and >= 0, got {slack}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != model.d:
         raise ValueError(f"points must have last axis {model.d}, got shape {pts.shape}")
@@ -244,6 +246,8 @@ def check_lyapunov(
     ``z_points``; evaluation is batched in chunks so vectorized models stay
     fast for grids with millions of pairs.
     """
+    if not 0.0 <= slack < math.inf:
+        raise ValueError(f"slack must be finite and >= 0, got {slack}")
     xs = np.atleast_2d(np.asarray(x_points, dtype=float))
     zs = np.atleast_2d(np.asarray(z_points, dtype=float))
     if xs.shape[-1] != model.d:

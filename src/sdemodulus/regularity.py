@@ -112,24 +112,26 @@ class _NodeSums(_Reducer):
 
 
 class _PairSums(_NodeSums):
-    """Node sums of each stat(|Delta|) for the coupled pair, Delta = X - Y.
+    """Node sums of each stat(|Delta_r|) for R coupled pairs, Delta_r = X - Y_r: (R, N+1) arrays.
 
-    Delta advances through the drift difference, so the Brownian increments
-    never touch it: for x = y it stays exactly zero, and for mu = 0 it is
-    constant bitwise.
+    All R pairs share the one trajectory X.  Delta advances through the
+    drift difference, so the Brownian increments never touch it: for x = y
+    it stays exactly zero, and for mu = 0 it is constant bitwise.  Delta is
+    held as (R, B, d), so each pair's samples stay contiguous and its node
+    sums are bitwise those of a one-pair run.
     """
 
-    def __init__(self, model, dt, delta, X, N, stats):
+    def __init__(self, model, dt, deltas, X, N, stats):
         self.model, self.dt = model, dt
-        self.delta = np.broadcast_to(delta, X.shape).copy()
-        super().__init__(X, N, lambda _: model.norm_state(self.delta), stats)
+        self.delta = np.broadcast_to(deltas[:, None], deltas.shape[:1] + X.shape).copy()
+        super().__init__(X, N, lambda _: model.norm_state(self.delta).T, stats)
 
     def step(self, X, mu):
         self.delta = self.delta + self.dt * (mu - self.model.mu_batch(X - self.delta))
 
     def node(self, k, X):
         super().node(k, X)
-        return np.isfinite(self.delta).all(axis=1)
+        return np.isfinite(self.delta).all(axis=(0, 2))
 
 
 class _RunningMax(_Reducer):
@@ -244,16 +246,20 @@ def _mean_and_spread(v, v0):
 
 
 def _pair_sums(model, x, y, grid, seed, n_samples, stats, threads, what):
-    """Per-node sums of each array of stats(|X^x - X^y|, |x - y|) across the included samples."""
+    """Per-node sums of each array of stats(|X^x - X^y|, |x - y|), per row of ``y``: (R, stats, N+1).
+
+    ``y`` is a stack of R end points, each coupled to the one trajectory
+    from ``x``; a sample that diverges in any pair is excluded from all.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != (model.d,) or y.shape != (model.d,):
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    if x.shape != (model.d,) or y.shape[1:] != (model.d,):
         raise ValueError(f"x and y must have shape ({model.d},)")
     count, outs = _ensemble(
         model, x, grid, seed, n_samples, threads,
         lambda X: _PairSums(model, grid.dt, x - y, X, grid.N, stats), what,
     )
-    return count, np.sum(outs, axis=0)
+    return count, np.sum(outs, axis=0).swapaxes(0, 1)
 
 
 def estimate_distance(
@@ -271,8 +277,8 @@ def estimate_distance(
     exactly |x - y|) participates.  The standard error is that of the mean
     at the argmax node.
     """
-    count, sums = _pair_sums(
-        model, x, y, grid, seed, n_samples, _mean_and_spread, threads, "estimate_distance"
+    count, [sums] = _pair_sums(
+        model, x, [y], grid, seed, n_samples, _mean_and_spread, threads, "estimate_distance"
     )
     return _sup_of_means(*sums, count, seed)
 
@@ -322,8 +328,8 @@ def fg_decomposition_check(
     node.  This holds for any data, so a failure indicates an estimator
     bug rather than bad luck; the margin is min(rhs - lhs) over nodes.
     """
-    count, (sums, g2, f2) = _pair_sums(
-        model, x, y, grid, seed, n_samples,
+    count, [(sums, g2, f2)] = _pair_sums(
+        model, x, [y], grid, seed, n_samples,
         lambda v, _: (v, fg_G(v) ** 2, fg_F(v) ** 2),
         threads, "fg_decomposition_check",
     )
@@ -540,12 +546,10 @@ def _rung_passes(empirical: MCEstimate, theoretical: float) -> bool:
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Outcome of verify_modulus: the ladder, both sides, constants, and a fit.
+    """Outcome of verify_modulus: the ladder, both sides, and the constants.
 
     ``passed`` is derived from the rungs: it demands empirical mean - 3 SE
     <= theoretical at every rung.
-    The least-squares fit of ln(empirical) against ln |ln h| (slope -q_hat,
-    intercept ln c_hat) is a diagnostic only and asserts nothing.
     """
 
     model_name: str
@@ -555,8 +559,6 @@ class RegularityReport:
     empirical: tuple
     theoretical: tuple
     constants: RegularityConstants
-    fitted_q: float
-    fitted_c: float
     n_samples: int
     seed: int
     T: float
@@ -580,8 +582,6 @@ class RegularityReport:
             "empirical": [e.to_dict() for e in self.empirical],
             "theoretical": list(self.theoretical),
             "constants": self.constants.to_dict(),
-            "fitted_q": self.fitted_q,
-            "fitted_c": self.fitted_c,
             "pass": self.passed,
             "n_samples": self.n_samples,
             "seed": self.seed,
@@ -621,9 +621,10 @@ def verify_modulus(
     ``ladder`` must be strictly decreasing inside (0, 1); ``direction`` is
     normalized to unit state norm so each rung h is the exact separation.
     The center must satisfy |x_center| <= R, which keeps every perturbed
-    start inside the radius-(R+1) ball that the K estimate sweeps.  Each
-    rung, the K run and the C run draw from independent derived seeds, all
-    reproducible from the master seed.
+    start inside the radius-(R+1) ball that the K and C estimates sweep.
+    Every rung is coupled to one set of paths from x_center, so rung h
+    equals ``estimate_distance`` at derived seed 0; the K and C runs draw
+    from derived seeds 10001 and 10002.
     """
     ladder = tuple(float(h) for h in ladder)
     if not ladder:
@@ -651,12 +652,11 @@ def verify_modulus(
         raise ValueError(f"direction must be a nonzero vector of shape ({model.d},)")
     direction = direction / dnorm
 
-    empirical = []
-    for i, h in enumerate(ladder):
-        y = x_center + h * direction
-        empirical.append(
-            estimate_distance(model, x_center, y, grid, n_samples, derive_seed(seed, i), threads)
-        )
+    pair_seed = derive_seed(seed, 0)
+    ys = x_center + np.array(ladder)[:, None] * direction
+    count, sums = _pair_sums(
+        model, x_center, ys, grid, pair_seed, n_samples, _mean_and_spread, threads, "verify_modulus"
+    )
     k_est = estimate_K(
         model, R, q, grid, n_samples, derive_seed(seed, 10_001),
         x_grid_points=x_grid_points, safety=safety, threads=threads,
@@ -667,23 +667,14 @@ def verify_modulus(
     )
     constants = RegularityConstants.compute(R, q, k_est.mean, c_est.mean, grid.T)
     theoretical = tuple(constants.c_global * abs(math.log(h)) ** (-q) for h in ladder)
-    xs = [math.log(abs(math.log(h))) for h, e in zip(ladder, empirical) if e.mean > 0.0]
-    ys = [math.log(e.mean) for e in empirical if e.mean > 0.0]
-    if len(xs) >= 2:
-        slope, intercept = np.polyfit(xs, ys, 1)
-        fitted_q, fitted_c = float(-slope), float(math.exp(intercept))
-    else:
-        fitted_q = fitted_c = math.nan
     return RegularityReport(
         model_name=model.name,
         x_center=tuple(float(v) for v in x_center),
         direction=tuple(float(v) for v in direction),
         ladder=ladder,
-        empirical=tuple(empirical),
+        empirical=tuple(_sup_of_means(*s, count, pair_seed) for s in sums),
         theoretical=theoretical,
         constants=constants,
-        fitted_q=fitted_q,
-        fitted_c=fitted_c,
         n_samples=int(n_samples),
         seed=int(seed),
         T=float(grid.T),

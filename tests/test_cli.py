@@ -270,6 +270,15 @@ def test_moments_non_finite_coefficient_exits_1(flag, value, capsys):
     assert f"{flag[2:]} must be" in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_check_model_bad_slack_exits_1(value, capsys):
+    args = ["check-model", "--model", "oscillatory1d", "--kappa", "0.5", "--deterministic"]
+    assert main(args + ["--slack", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "slack must be" in captured.err
+
+
 _VM_ARGS = [
     "verify-modulus", "--model", "zero", "--x0", "0", "--dir", "1",
     "--ladder", "1e-1,1e-2,1e-3", "--q", "1", "--R", "1.5",

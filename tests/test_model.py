@@ -285,6 +285,17 @@ def test_violations_iff_max_ratio_exceeds_slack():
         assert bool(rep.violations) == (rep.max_ratio > 1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("slack", [math.nan, math.inf, -1.0])
+def test_bad_slack_is_rejected(slack):
+    """With a NaN or infinite slack no ratio exceeds 1 + slack, so any model would pass."""
+    m = catalog_model("oscillatory1d", kappa=0.5)
+    xs = default_point_grid(1)
+    with pytest.raises(ValueError, match="^slack must"):
+        check_derivative_growth(m, xs, slack=slack, seed=0)
+    with pytest.raises(ValueError, match="^slack must"):
+        check_lyapunov(m, xs, default_point_grid(1), slack=slack)
+
+
 def test_condition_report_json_shape():
     m = catalog_model("oscillatory1d", kappa=0.5)
     rep = check_derivative_growth(m, default_point_grid(1), seed=0)

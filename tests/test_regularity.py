@@ -38,7 +38,7 @@ from sdemodulus import (
     theoretical_constant,
     verify_modulus,
 )
-from sdemodulus.paths import BATCH_SAMPLES, MCEstimate
+from sdemodulus.paths import BATCH_SAMPLES, MCEstimate, derive_seed
 from sdemodulus.regularity import _rung_passes
 
 
@@ -99,6 +99,15 @@ def test_distance_rejects_tiny_sample_count():
         estimate_distance(m, np.array([1.0]), np.array([0.0]), TimeGrid(1.0, 8), 1, 0)
 
 
+def test_distance_rejects_a_stack_of_ends():
+    """A (2, 1) y is not a point of a 1-d model, though it is a two-row ladder."""
+    m = catalog_model("zero")
+    with pytest.raises(ValueError, match="must have shape"):
+        estimate_distance(m, [1.0], np.array([[0.9], [0.8]]), TimeGrid(1.0, 8), 10, 0)
+    with pytest.raises(ValueError, match="must have shape"):
+        fg_decomposition_check(m, [1.0], np.array([[0.9], [0.8]]), TimeGrid(1.0, 8), 10, 0)
+
+
 def test_distance_total_divergence_is_estimator_error():
     """Every trajectory overflows, far above the 1% exclusion budget."""
     m = catalog_model("cubic_deterministic")
@@ -124,6 +133,20 @@ def test_distance_small_exclusion_warns(caplog):
     assert est.n_samples == 397
     assert math.isfinite(est.mean)
     assert any("excluded 3 of 400" in r.message for r in caplog.records)
+
+
+def test_ladder_pairs_exclude_the_same_samples(caplog):
+    """Both pairs of a two-row ladder drop the same divergent samples, with one warning."""
+    m = _cliff_model()
+    ys = np.array([[0.9], [0.99]])
+    with caplog.at_level(logging.WARNING, logger="sdemodulus.regularity"):
+        count, sums = regularity._pair_sums(
+            m, [1.0], ys, TimeGrid(1.0, 64), 5, 400, regularity._mean_and_spread, 1, "ladder"
+        )
+    ests = [regularity._sup_of_means(*s, count, 5) for s in sums]
+    assert ests[0].n_samples == ests[1].n_samples == count < 400
+    assert all(math.isfinite(e.mean) for e in ests)
+    assert sum("ladder: excluded" in r.message for r in caplog.records) == 1
 
 
 # -- lattice and K constant ----------------------------------------------------------
@@ -223,9 +246,9 @@ def test_verify_modulus_checks_lattice_arguments_before_sampling(arg, value, mon
     """A bad safety or lattice size fails before the first ladder rung is sampled."""
 
     def no_sampling(*args, **kwargs):
-        raise AssertionError("estimate_distance ran before the arguments were checked")
+        raise AssertionError("an ensemble ran before the arguments were checked")
 
-    monkeypatch.setattr(regularity, "estimate_distance", no_sampling)
+    monkeypatch.setattr(regularity, "_ensemble", no_sampling)
     with pytest.raises(ValueError, match=rf"^{arg} must"):
         verify_modulus(
             catalog_model("zero"), [0.0], [1.0], (0.1, 0.01), 1.0, 1.0,
@@ -532,6 +555,39 @@ def test_failing_rung_fails_the_verdict():
     failing.write_csv(buf)
     verdicts = [row.rsplit(",", 1)[1] for row in buf.getvalue().splitlines()[1:]]
     assert verdicts == ["true", "false", "true"]
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_every_rung_is_the_one_pair_estimate(threads):
+    """The ladder runs on one set of paths: rung h equals estimate_distance at derived seed 0.
+
+    bounded_tanh's distance grows in t, so no rung's sup sits at node 0.
+    """
+    m = catalog_model("bounded_tanh", d=2)
+    x, e = [0.5, 0.1], [0.0, 1.0]
+    grid, n = TimeGrid(1.0, 16), BATCH_SAMPLES + 52
+    rep = verify_modulus(
+        m, x, e, (1e-1, 1e-2, 1e-3), 1.0, 1.5, grid, n, 7, x_grid_points=3, threads=threads
+    )
+    for h, est in zip(rep.ladder, rep.empirical):
+        y = np.asarray(x) + h * np.asarray(rep.direction)
+        ref = estimate_distance(m, x, y, grid, n, derive_seed(7, 0), threads)
+        assert (est.mean, est.std_error, est.n_samples) == (ref.mean, ref.std_error, ref.n_samples)
+
+
+def test_verify_modulus_runs_three_ensembles(monkeypatch):
+    """One ladder pass, one K pass and one C pass, however many rungs."""
+    calls = []
+    ensemble = regularity._ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(regularity, "_ensemble", counted)
+    ladder = tuple(10.0 ** -k for k in range(1, 9))
+    verify_modulus(catalog_model("zero"), [0.0], [1.0], ladder, 1.0, 1.5, TimeGrid(1.0, 4), 8, 0)
+    assert calls == ["verify_modulus", "estimate_K", "moment_bound_check"]
 
 
 def test_verify_modulus_validation():
