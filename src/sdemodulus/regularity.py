@@ -24,10 +24,11 @@ the argmax node.
 
 Every estimator here runs on one ensemble kernel, which steps a batch of
 samples node by node and folds each node into a reducer: per-node sums for
-the coupled pair, a per-sample running max for K, per-(start, node) sums for
-C.  No reducer keeps a node history, so memory does not grow with the step
-count N.  A sample that leaves the floats is dropped by running its batch
-again from the surviving samples' substreams.
+the coupled pairs, and over the start lattice one norm per node that feeds
+both C's per-(start, node) sums and each sample's running max of |X|, from
+which K follows.  No reducer keeps a node history, so memory does not grow
+with the step count N.  A sample that leaves the floats is dropped by
+running its batch again from the surviving samples' substreams.
 """
 
 from __future__ import annotations
@@ -134,21 +135,24 @@ class _PairSums(_NodeSums):
         return np.isfinite(self.delta).all(axis=(0, 2))
 
 
-class _RunningMax(_Reducer):
-    """Per-sample running max over nodes of each statistic: (B,) arrays.
+class _LatticeSums(_NodeSums):
+    """Node sums of each stat(|X|, |x|) per start, and each sample's running max of |X|.
 
-    ``stats`` maps a state block to a list of (B,) arrays, each already
-    reduced over the start axis.
+    One norm per (sample, start, node) feeds both: the sums, (L, N+1)
+    arrays, give sup-outside moments such as C, and the max, a (B,) array
+    last in ``out``, gives every sup-inside moment, K among them.
     """
 
-    def __init__(self, X, stats):
-        self.stats = stats
-        self.out = [s.copy() for s in stats(X)]
+    def __init__(self, model, X, N, stats):
+        top = np.zeros(len(X))
 
-    def node(self, k, X):
-        for best, s in zip(self.out, self.stats(X)):
-            np.maximum(best, s, out=best)
-        return True
+        def value(X):
+            nrm = model.norm_state(X)  # (B, L)
+            np.maximum(top, np.max(nrm, axis=1), out=top)
+            return nrm
+
+        super().__init__(X, N, value, stats)
+        self.out.append(top)
 
 
 def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):
@@ -371,12 +375,31 @@ def ball_lattice(model: DriftModel, radius: float, points_per_axis: int) -> np.n
     return pts
 
 
-def _lattice_starts(model, R, x_grid_points, lattice):
+def _lattice_pass(model, R, x_grid_points, lattice, grid, seed, n_samples, threads, stats, what):
+    """One ensemble over the start lattice: summed node stats of |X|, and each sample's max |X|."""
     if not 0.0 <= R < math.inf:
         raise ValueError(f"R must be finite and >= 0, got {R}")
     if lattice is None:
-        return ball_lattice(model, R + 1.0, x_grid_points)
-    return np.atleast_2d(np.asarray(lattice, dtype=float))
+        lattice = ball_lattice(model, R + 1.0, x_grid_points)
+    count, outs = _ensemble(
+        model, np.atleast_2d(np.asarray(lattice, dtype=float)), grid, seed, n_samples, threads,
+        lambda X: _LatticeSums(model, X, grid.N, stats), what,
+    )
+    sums = np.sum([out[:-1] for out in outs], axis=0)
+    return count, sums, np.concatenate([out[-1] for out in outs])
+
+
+def _K_from_max(model, top, q, safety, seed) -> MCEstimate:
+    """K from each sample's sup_{x,t} |X^x(t)|.
+
+    r -> phi(r)^(4q+4) and r -> r^2 are non-decreasing in floats, so mapping
+    the max gives the max of the mapped values, bitwise.
+    """
+    phi = model.kappa * (1.0 + top ** model.kappa)  # phi_state at the max
+    ests = [_mc_from_samples(a, seed) for a in (phi ** (4.0 * q + 4.0), top * top)]
+    mean = max(e.mean for e in ests)
+    se = max(e.std_error for e in ests)
+    return MCEstimate(mean=mean * safety, std_error=se * safety, n_samples=len(top), seed=int(seed))
 
 
 def estimate_K(
@@ -404,22 +427,11 @@ def estimate_K(
         raise ValueError(f"q must be finite and >= 0, got {q}")
     if not 0.0 < safety < math.inf:
         raise ValueError(f"safety must be finite and positive, got {safety}")
-    pts = _lattice_starts(model, R, x_grid_points, lattice)
-    expo = 4.0 * q + 4.0
-
-    def node_stats(X):
-        phi = model.phi_state(X)  # (B, L)
-        nrm = model.norm_state(X)
-        return [np.max(phi ** expo, axis=1), np.max(nrm * nrm, axis=1)]
-
-    count, outs = _ensemble(
-        model, pts, grid, seed, n_samples, threads,
-        lambda X: _RunningMax(X, node_stats), "estimate_K",
+    _, _, top = _lattice_pass(
+        model, R, x_grid_points, lattice, grid, seed, n_samples, threads,
+        lambda v, v0: (), "estimate_K",
     )
-    ests = [_mc_from_samples(a, seed) for a in np.concatenate(outs, axis=1)]
-    mean = max(e.mean for e in ests)
-    se = max(e.std_error for e in ests)
-    return MCEstimate(mean=mean * safety, std_error=se * safety, n_samples=count, seed=int(seed))
+    return _K_from_max(model, top, q, safety, seed)
 
 
 def moment_bound_check(
@@ -445,22 +457,17 @@ def moment_bound_check(
     """
     if not 0.0 <= r < math.inf:
         raise ValueError(f"r must be finite and >= 0, got {r}")
-    pts = _lattice_starts(model, R, x_grid_points, lattice)
 
-    def moment(X):
-        return model.norm_state(X) ** r  # (B, L)
+    def moments(v, v0):
+        return _mean_and_spread(v ** r, v0 ** r) if sup_outside else ()
 
-    if sup_outside:
-        count, outs = _ensemble(
-            model, pts, grid, seed, n_samples, threads,
-            lambda X: _NodeSums(X, grid.N, moment, _mean_and_spread), "moment_bound_check",
-        )
-        return _sup_of_means(*np.sum(outs, axis=0), count, seed)
-    _, outs = _ensemble(
-        model, pts, grid, seed, n_samples, threads,
-        lambda X: _RunningMax(X, lambda X: [np.max(moment(X), axis=1)]), "moment_bound_check",
+    count, sums, top = _lattice_pass(
+        model, R, x_grid_points, lattice, grid, seed, n_samples, threads, moments,
+        "moment_bound_check",
     )
-    return _mc_from_samples(np.concatenate(outs, axis=1)[0], seed)
+    if sup_outside:
+        return _sup_of_means(*sums, count, seed)
+    return _mc_from_samples(top ** r, seed)  # sup of |X|^r is (sup |X|)^r, as in K
 
 
 # -- explicit constants -------------------------------------------------------
@@ -623,8 +630,9 @@ def verify_modulus(
     The center must satisfy |x_center| <= R, which keeps every perturbed
     start inside the radius-(R+1) ball that the K and C estimates sweep.
     Every rung is coupled to one set of paths from x_center, so rung h
-    equals ``estimate_distance`` at derived seed 0; the K and C runs draw
-    from derived seeds 10001 and 10002.
+    equals ``estimate_distance`` at derived seed 0.  K and C come from one
+    lattice pass on derived seed 10001, so they equal ``estimate_K`` and
+    ``moment_bound_check(r=1, sup_outside=True)`` at that seed.
     """
     ladder = tuple(float(h) for h in ladder)
     if not ladder:
@@ -657,14 +665,13 @@ def verify_modulus(
     count, sums = _pair_sums(
         model, x_center, ys, grid, pair_seed, n_samples, _mean_and_spread, threads, "verify_modulus"
     )
-    k_est = estimate_K(
-        model, R, q, grid, n_samples, derive_seed(seed, 10_001),
-        x_grid_points=x_grid_points, safety=safety, threads=threads,
+    lattice_seed = derive_seed(seed, 10_001)
+    lattice_count, c_sums, top = _lattice_pass(
+        model, R, x_grid_points, None, grid, lattice_seed, n_samples, threads,
+        _mean_and_spread, "K and C",
     )
-    c_est = moment_bound_check(
-        model, R, 1.0, grid, n_samples, derive_seed(seed, 10_002),
-        x_grid_points=x_grid_points, sup_outside=True, threads=threads,
-    )
+    k_est = _K_from_max(model, top, q, safety, lattice_seed)
+    c_est = _sup_of_means(*c_sums, lattice_count, lattice_seed)
     constants = RegularityConstants.compute(R, q, k_est.mean, c_est.mean, grid.T)
     theoretical = tuple(constants.c_global * abs(math.log(h)) ** (-q) for h in ladder)
     return RegularityReport(

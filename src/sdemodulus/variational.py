@@ -195,21 +195,22 @@ def pathwise_distance_bound(
     y = np.atleast_1d(np.asarray(y, dtype=float))
     dist0 = float(model.norm_state(x - y))
 
-    def segment_rhs(n_points: int) -> float:
+    def segment(n_points: int) -> np.ndarray:
         us = np.linspace(0.0, 1.0, n_points)
-        ics = y[None, :] + us[:, None] * (x - y)[None, :]
-        states = euler_solve_many(model, ics, path)  # (L, N+1, d)
+        return y[None, :] + us[:, None] * (x - y)[None, :]  # row 0 is y
+
+    def segment_rhs(states) -> float:
         sup_phi = np.max(model.phi_state(states), axis=1)  # (L,)
         with np.errstate(over="ignore"):
             return float(np.max(dist0 * np.exp(path.grid.T * sup_phi)))
 
-    ends = euler_solve_many(model, np.stack([x, y]), path)
-    lhs = float(np.max(model.norm_state(ends[0] - ends[1])))
-    rhs = segment_rhs(u_grid)
+    states = euler_solve_many(model, np.vstack([x, segment(u_grid)]), path)  # (1+L, N+1, d)
+    lhs = float(np.max(model.norm_state(states[0] - states[1])))
+    rhs = segment_rhs(states[1:])
     used = u_grid
     if lhs > rhs * (1.0 + 1e-6):
         used = 2 * u_grid - 1  # doubled resolution, supersedes the original points
-        rhs = max(rhs, segment_rhs(used))
+        rhs = max(rhs, segment_rhs(euler_solve_many(model, segment(used), path)))
     return PathwiseBound(lhs=lhs, rhs=rhs, ok=lhs <= rhs * (1.0 + 1e-6), u_grid_used=used)
 
 

@@ -38,7 +38,7 @@ from sdemodulus import (
     theoretical_constant,
     verify_modulus,
 )
-from sdemodulus.paths import BATCH_SAMPLES, MCEstimate, derive_seed
+from sdemodulus.paths import BATCH_SAMPLES, MCEstimate, _mc_from_samples, derive_seed
 from sdemodulus.regularity import _rung_passes
 
 
@@ -330,6 +330,53 @@ def test_lattice_estimators_exclude_the_same_samples(caplog):
     assert sum(f"moment_bound_check: excluded {excluded} of 400" in s for s in messages) == 2
 
 
+class _NodeMax(regularity._Reducer):
+    """Per sample, the running max of each node's max over starts of phi^expo, |X|^2 and |X|^r."""
+
+    def __init__(self, model, expo, r, X):
+        self.model, self.expo, self.r = model, expo, r
+        self.out = self._stats(X)
+
+    def _stats(self, X):
+        nrm = self.model.norm_state(X)
+        stats = (self.model.phi_state(X) ** self.expo, nrm * nrm, nrm ** self.r)
+        return [np.max(s, axis=1) for s in stats]
+
+    def node(self, k, X):
+        for best, s in zip(self.out, self._stats(X)):
+            np.maximum(best, s, out=best)
+        return True
+
+
+@pytest.mark.parametrize(
+    "model, q, r",
+    [
+        (catalog_model("oscillatory1d"), 0.0, 0.0),
+        (catalog_model("ou_nd", d=2), 1.0, 2.0),
+        (catalog_model("bounded_tanh", d=3), 0.5, 0.5),
+        (catalog_model("linear1d", kappa=0.0), 2.0, 3.0),
+    ],
+    ids=["osc-q0-r0", "ou2", "tanh3", "kappa0"],
+)
+def test_sup_inside_moments_equal_the_per_node_maxima(model, q, r):
+    """Max and map commute: mapping each sample's max |X| gives the max of the mapped nodes, bitwise."""
+    grid, n, seed, safety = TimeGrid(1.0, 32), 70, 13, 1.2
+    lat = ball_lattice(model, 1.5, 3)
+    count, outs = regularity._ensemble(
+        model, lat, grid, seed, n, 2,
+        lambda X: _NodeMax(model, 4.0 * q + 4.0, r, X), "reference",
+    )
+    phi_max, sq_max, r_max = (_mc_from_samples(a, seed) for a in np.concatenate(outs, axis=1))
+    want_k = MCEstimate(
+        max(phi_max.mean, sq_max.mean) * safety,
+        max(phi_max.std_error, sq_max.std_error) * safety,
+        count,
+        seed,
+    )
+    assert estimate_K(model, 0.5, q, grid, n, seed, safety=safety, lattice=lat, threads=2) == want_k
+    assert moment_bound_check(model, 0.5, r, grid, n, seed, lattice=lat, threads=2) == r_max
+
+
 def test_sup_outside_thread_invariance_across_batches():
     m = catalog_model("oscillatory1d")
     args = (m, 1.0, 1.0, TimeGrid(1.0, 4), BATCH_SAMPLES + 50, 9)
@@ -575,8 +622,8 @@ def test_every_rung_is_the_one_pair_estimate(threads):
         assert (est.mean, est.std_error, est.n_samples) == (ref.mean, ref.std_error, ref.n_samples)
 
 
-def test_verify_modulus_runs_three_ensembles(monkeypatch):
-    """One ladder pass, one K pass and one C pass, however many rungs."""
+def test_verify_modulus_runs_two_ensembles(monkeypatch):
+    """One ladder pass and one lattice pass for K and C, however many rungs."""
     calls = []
     ensemble = regularity._ensemble
 
@@ -587,7 +634,39 @@ def test_verify_modulus_runs_three_ensembles(monkeypatch):
     monkeypatch.setattr(regularity, "_ensemble", counted)
     ladder = tuple(10.0 ** -k for k in range(1, 9))
     verify_modulus(catalog_model("zero"), [0.0], [1.0], ladder, 1.0, 1.5, TimeGrid(1.0, 4), 8, 0)
-    assert calls == ["verify_modulus", "estimate_K", "moment_bound_check"]
+    assert calls == ["verify_modulus", "K and C"]
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_K_and_C_are_the_lattice_estimates_on_one_seed(threads):
+    """K and C come from one lattice pass: estimate_K and the r=1 sup-outside moment at seed 10001."""
+    m = catalog_model("bounded_tanh", d=2)
+    grid, n, seed = TimeGrid(1.0, 16), BATCH_SAMPLES + 52, 7
+    rep = verify_modulus(
+        m, [0.5, 0.1], [0.0, 1.0], (1e-1, 1e-2), 1.0, 1.5, grid, n, seed,
+        x_grid_points=3, threads=threads,
+    )
+    lattice_seed = derive_seed(seed, 10_001)
+    k = estimate_K(m, 1.5, 1.0, grid, n, lattice_seed, x_grid_points=3, threads=threads)
+    c = moment_bound_check(
+        m, 1.5, 1.0, grid, n, lattice_seed, x_grid_points=3, sup_outside=True, threads=threads
+    )
+    assert (rep.constants.K, rep.constants.C) == (k.mean, c.mean)
+
+
+def test_verify_modulus_lattice_pass_excludes_once(caplog):
+    """K and C drop the same divergent samples, with one lattice warning, not two."""
+    m = _cliff_model()
+    grid, n, seed = TimeGrid(1.0, 64), 400, 7
+    with caplog.at_level(logging.WARNING, logger="sdemodulus.regularity"):
+        rep = verify_modulus(m, [0.0], [1.0], (1e-1, 1e-2), 1.0, 0.2, grid, n, seed, x_grid_points=3)
+    messages = [r.message for r in caplog.records if "verify_modulus" not in r.message]
+    lattice_seed = derive_seed(seed, 10_001)
+    k = estimate_K(m, 0.2, 1.0, grid, n, lattice_seed, x_grid_points=3)
+    c = moment_bound_check(m, 0.2, 1.0, grid, n, lattice_seed, x_grid_points=3, sup_outside=True)
+    assert k.n_samples == c.n_samples < n
+    assert (rep.constants.K, rep.constants.C) == (k.mean, c.mean)
+    assert messages == [f"K and C: excluded {n - k.n_samples} of {n} divergent samples"]
 
 
 def test_verify_modulus_validation():
