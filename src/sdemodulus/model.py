@@ -60,11 +60,26 @@ class NormSpec:
 
     def __call__(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if self.kind == "euclidean":
-            return np.sqrt(np.sum(v * v, axis=-1))
-        if self.kind == "max":
-            return np.max(np.abs(v), axis=-1)
-        return np.sum(np.abs(v), axis=-1)
+        square = self.kind == "euclidean"
+        rows = v.ndim > 1  # else one point, whose norm is a numpy scalar
+        if rows and v.shape[-1] == 1:
+            col = v[..., 0]
+            out = col * col if square else np.abs(col)
+        else:
+            a = v * v if square else np.abs(v)
+            if rows and 2 <= v.shape[-1] < 8:
+                # numpy reduces a row shorter than 8 left to right, so folding
+                # whole columns in that order gives its floats bitwise, without
+                # its per-row cost.  From 8 on it sums pairwise, in blocks.
+                fold = np.maximum if self.kind == "max" else np.add
+                out = fold(a[..., 0], a[..., 1])
+                for j in range(2, v.shape[-1]):
+                    fold(out, a[..., j], out=out)
+            else:
+                out = np.max(a, axis=-1) if self.kind == "max" else np.sum(a, axis=-1)
+        if not square:
+            return out
+        return np.sqrt(out, out=out) if rows else np.sqrt(out)  # out is fresh, never v
 
 
 EUCLIDEAN = NormSpec("euclidean")

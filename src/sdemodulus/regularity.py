@@ -136,19 +136,21 @@ class _PairSums(_NodeSums):
 
 
 class _LatticeSums(_NodeSums):
-    """Node sums of each stat(|X|, |x|) per start, and each sample's running max of |X|.
+    """Node sums of each stat(|X|, |x|) per start, and the running max of |X| per (sample, start).
 
     One norm per (sample, start, node) feeds both: the sums, (L, N+1)
-    arrays, give sup-outside moments such as C, and the max, a (B,) array
-    last in ``out``, gives every sup-inside moment, K among them.
+    arrays, give sup-outside moments such as C, and the max, a (B, L) array
+    last in ``out``, gives every sup-inside moment, K among them, once
+    reduced over the starts.  Folding it elementwise per node leaves that
+    reduction to one call per batch.
     """
 
     def __init__(self, model, X, N, stats):
-        top = np.zeros(len(X))
+        top = np.zeros(X.shape[:2])
 
         def value(X):
             nrm = model.norm_state(X)  # (B, L)
-            np.maximum(top, np.max(nrm, axis=1), out=top)
+            np.maximum(top, nrm, out=top)
             return nrm
 
         super().__init__(X, N, value, stats)
@@ -259,6 +261,10 @@ def _pair_sums(model, x, y, grid, seed, n_samples, stats, threads, what):
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape != (model.d,) or y.shape[1:] != (model.d,):
         raise ValueError(f"x and y must have shape ({model.d},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"x must be finite, got {x}")
+    if not np.isfinite(y).all():
+        raise ValueError(f"y must be finite, got {y}")
     count, outs = _ensemble(
         model, x, grid, seed, n_samples, threads,
         lambda X: _PairSums(model, grid.dt, x - y, X, grid.N, stats), what,
@@ -363,8 +369,8 @@ def ball_lattice(model: DriftModel, radius: float, points_per_axis: int) -> np.n
     """
     if points_per_axis < 1:
         raise ValueError("points_per_axis must be >= 1")
-    if radius < 0.0:
-        raise ValueError("radius must be >= 0")
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {radius}")
     axis = np.linspace(-radius, radius, points_per_axis) if points_per_axis > 1 else np.zeros(1)
     grids = np.meshgrid(*([axis] * model.d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -381,12 +387,17 @@ def _lattice_pass(model, R, x_grid_points, lattice, grid, seed, n_samples, threa
         raise ValueError(f"R must be finite and >= 0, got {R}")
     if lattice is None:
         lattice = ball_lattice(model, R + 1.0, x_grid_points)
+    lattice = np.atleast_2d(np.asarray(lattice, dtype=float))
+    if lattice.ndim != 2 or lattice.shape[1] != model.d or not len(lattice):
+        raise ValueError(f"lattice must have shape (L, {model.d}) with L >= 1, got {lattice.shape}")
+    if not np.isfinite(lattice).all():
+        raise ValueError("lattice must be finite")
     count, outs = _ensemble(
-        model, np.atleast_2d(np.asarray(lattice, dtype=float)), grid, seed, n_samples, threads,
+        model, lattice, grid, seed, n_samples, threads,
         lambda X: _LatticeSums(model, X, grid.N, stats), what,
     )
     sums = np.sum([out[:-1] for out in outs], axis=0)
-    return count, sums, np.concatenate([out[-1] for out in outs])
+    return count, sums, np.concatenate([np.max(out[-1], axis=1) for out in outs])
 
 
 def _K_from_max(model, top, q, safety, seed) -> MCEstimate:
@@ -652,12 +663,16 @@ def verify_modulus(
     x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
     if x_center.shape != (model.d,):
         raise ValueError(f"x_center must have shape ({model.d},)")
+    if not np.isfinite(x_center).all():
+        raise ValueError(f"x_center must be finite, got {x_center}")
     if float(model.norm_state(x_center)) > R * (1.0 + 1e-12):
         raise ValueError("x_center must lie inside the ball of radius R")
     direction = np.atleast_1d(np.asarray(direction, dtype=float))
+    if direction.shape != (model.d,):
+        raise ValueError(f"direction must have shape ({model.d},)")
     dnorm = float(model.norm_state(direction))
-    if not (dnorm > 0.0) or direction.shape != (model.d,):
-        raise ValueError(f"direction must be a nonzero vector of shape ({model.d},)")
+    if not 0.0 < dnorm < math.inf:
+        raise ValueError(f"direction must be finite and nonzero, got {direction}")
     direction = direction / dnorm
 
     pair_seed = derive_seed(seed, 0)

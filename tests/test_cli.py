@@ -330,6 +330,20 @@ def test_verify_modulus_non_finite_radius_or_safety_exits_1(flag, capsys):
     assert f"{flag[2:]} must be" in captured.err
 
 
+@pytest.mark.parametrize(
+    "x0, direction, arg", [("nan,0", "1,0", "x_center"), ("0.5,0", "inf,0", "direction")]
+)
+def test_verify_modulus_non_finite_start_point_exits_1(x0, direction, arg, capsys):
+    args = [
+        "verify-modulus", "--model", "ou_nd", "--d", "2", "--x0", x0, "--dir", direction,
+        "--samples", "16", "--steps", "8", "--deterministic",
+    ]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{arg} must be finite" in captured.err
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_verify_modulus_non_finite_kappa_exits_1(value, capsys):
     args = [

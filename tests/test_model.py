@@ -115,6 +115,39 @@ def test_norm_axioms_random():
             assert tri <= bound + 4 * np.spacing(bound)
 
 
+_ROW_REDUCTIONS = {
+    "euclidean": lambda v: np.sqrt(np.sum(v * v, axis=-1)),
+    "one": lambda v: np.sum(np.abs(v), axis=-1),
+    "max": lambda v: np.max(np.abs(v), axis=-1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ROW_REDUCTIONS))
+@pytest.mark.parametrize("d", range(1, 10))
+def test_norm_is_bitwise_numpys_row_reduction(kind, d):
+    """Every norm equals numpy's reduction along rows of length d, float for float.
+
+    Short rows are folded column by column in numpy's own order; a numpy
+    release that reduces them in another order fails here instead of
+    silently changing every estimate.  Magnitudes spread over 26 decades
+    make the order show in the last bits.
+    """
+    rng = np.random.default_rng(d)
+    norm, reference = NormSpec(kind), _ROW_REDUCTIONS[kind]
+    v = rng.standard_normal((4, 6, d)) * 10.0 ** rng.uniform(-13.0, 13.0, (4, 6, d))
+    v[1, 0, 0] = np.inf
+    v[1, 1, -1] = -np.inf
+    v[1, 2, 0] = np.nan
+    v[1, 3] = 1e-200  # squares underflow to 0
+    v[1, 4, -1] = 1e200  # square overflows
+    for a in (v[1, 3], v[2, 0], v[1], v, v.transpose(1, 0, 2)):
+        before = a.copy()
+        with np.errstate(over="ignore"):
+            assert np.array_equal(norm(a), reference(a), equal_nan=True)
+        assert np.array_equal(a, before, equal_nan=True)
+    assert float(norm(v[2, 0])) == float(reference(v[2, 0]))
+
+
 def test_norm_unknown_kind():
     with pytest.raises(ValueError):
         NormSpec("manhattan")

@@ -16,6 +16,7 @@ import io
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,28 @@ def test_ball_lattice_falls_back_to_origin():
     assert np.all(pts == 0.0)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+def test_ball_lattice_rejects_a_radius_outside_0_inf(radius):
+    """A NaN radius would give the origin alone and an infinite one [[inf, inf]]."""
+    with pytest.raises(ValueError, match="^radius must"):
+        ball_lattice(catalog_model("ou_nd", d=2), radius, 3)
+
+
+@pytest.mark.parametrize(
+    "lattice", [np.zeros((1, 3)), np.zeros((0, 2)), np.zeros((2, 2, 1)), np.array([[0.0, np.nan]])]
+)
+def test_lattice_estimators_reject_a_bad_lattice_before_sampling(lattice, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("an ensemble ran before the lattice was checked")
+
+    monkeypatch.setattr(regularity, "_ensemble", no_sampling)
+    m = catalog_model("ou_nd", d=2)
+    with pytest.raises(ValueError, match="^lattice must"):
+        estimate_K(m, 1.0, 1.0, TimeGrid(1.0, 4), 10, 0, lattice=lattice)
+    with pytest.raises(ValueError, match="^lattice must"):
+        moment_bound_check(m, 1.0, 1.0, TimeGrid(1.0, 4), 10, 0, lattice=lattice)
+
+
 def test_estimate_K_degenerate_horizon_exact():
     """T = 0: no randomness, K is plain lattice arithmetic."""
     grid = TimeGrid(0.0, 1)
@@ -239,6 +262,38 @@ def test_non_finite_argument_is_rejected(arg, value):
             m, [0.0], [1.0], (0.1, 0.01), kw["q"], kw["R"], grid, 8, 0,
             safety=kw["safety"], x_grid_points=3,
         )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("arg", ["x_center", "direction"])
+def test_verify_modulus_rejects_non_finite_start_points_before_sampling(arg, value, monkeypatch):
+    """NaN passes |x_center| > R and inf passes |direction| > 0: both must fail up front."""
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("an ensemble ran before the start points were checked")
+
+    monkeypatch.setattr(regularity, "_ensemble", no_sampling)
+    kw = {"x_center": [0.5, 0.0], "direction": [1.0, 0.0], arg: [value, 0.0]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{arg} must"):
+            verify_modulus(
+                catalog_model("ou_nd", d=2), kw["x_center"], kw["direction"], (0.1, 0.01),
+                1.0, 1.5, TimeGrid(1.0, 8), 16, 0,
+            )
+
+
+@pytest.mark.parametrize("arg", ["x", "y"])
+def test_pair_estimators_reject_non_finite_points_before_sampling(arg, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("an ensemble ran before the points were checked")
+
+    monkeypatch.setattr(regularity, "_ensemble", no_sampling)
+    m = catalog_model("ou_nd", d=2)
+    kw = {"x": [0.5, 0.0], "y": [0.4, 0.0], arg: [math.nan, 0.0]}
+    for estimator in (estimate_distance, fg_decomposition_check):
+        with pytest.raises(ValueError, match=rf"^{arg} must be finite"):
+            estimator(m, kw["x"], kw["y"], TimeGrid(1.0, 8), 16, 0)
 
 
 @pytest.mark.parametrize("arg, value", [("safety", math.nan), ("x_grid_points", 0)])
@@ -695,3 +750,54 @@ def test_verify_modulus_validation():
         call((1e-1, 1e-2), x=(10.0,))  # centre outside the ball
     with pytest.raises(ValueError):
         call((1e-1, 1e-2), direction=(0.0,))
+
+
+# Reference values, recorded while every norm was numpy's own reduction along
+# rows and the lattice max was reduced over the starts at every node.  Each
+# case: model, d, state norm, lattice points per axis, x_center and direction;
+# then K, C and each rung's mean and SE.
+_GOLDEN_REPORTS = [
+    pytest.param(
+        ("ou_nd", 2, "euclidean", 9, [0.5, 0.0], [1.0, 0.0]),
+        (
+            "0x1.04aa8f11477e3p+16", "0x1.4000000000000p+1",
+            "0x1.9999999999998p-4", "0x0.0p+0",
+            "0x1.47ae147ae1480p-7", "0x0.0p+0",
+            "0x1.a36e2eb1c4000p-14", "0x0.0p+0",
+        ),
+        id="ou_nd-2",
+    ),
+    pytest.param(
+        ("bounded_tanh", 3, "one", 5, [0.3, 0.2, 0.1], [1.0, 1.0, 0.0]),
+        (
+            "0x1.a16f4a4345c5fp+25", "0x1.78e20fb964e76p+2",
+            "0x1.81c2790bb3a50p-3", "0x1.bb77f82dc99edp-9",
+            "0x1.36a1357b84c6bp-6", "0x1.6145f195b4077p-12",
+            "0x1.8de19465be9e3p-13", "0x1.c3f5dd9de4e44p-19",
+        ),
+        id="bounded_tanh-3-one",
+    ),
+    pytest.param(  # d = 8 takes numpy's blocked row sums, not the column folds
+        ("zero", 8, "euclidean", 3, [0.1] * 8, [1.0] + [0.0] * 7),
+        (
+            "0x1.e08d8557f230dp+4", "0x1.f5a643d5e04efp+1",
+            "0x1.9999999999999p-4", "0x0.0p+0",
+            "0x1.47ae147ae1478p-7", "0x0.0p+0",
+            "0x1.a36e2eb1c4400p-14", "0x0.0p+0",
+        ),
+        id="zero-8",
+    ),
+]
+
+
+@pytest.mark.parametrize("case, golden", _GOLDEN_REPORTS)
+def test_verify_modulus_golden_values(case, golden):
+    """K, C and every rung repeat bitwise: a faster reduction must not move a single bit."""
+    name, d, norm_state, points, x_center, direction = case
+    rep = verify_modulus(
+        catalog_model(name, d=d, norm_state=norm_state), x_center, direction,
+        (1e-1, 1e-2, 1e-4), 1.0, 1.5, TimeGrid(1.0, 64), 64, 7, x_grid_points=points,
+    )
+    got = [rep.constants.K, rep.constants.C]
+    got += [v for e in rep.empirical for v in (e.mean, e.std_error)]
+    assert tuple(float.hex(v) for v in got) == golden
