@@ -83,8 +83,22 @@ def euler_solve(model: DriftModel, x0, path: BrownianPath) -> SolutionPath:
     Raises DivergenceError (with the offending step index) as soon as a
     non-finite state appears; states up to that step were still finite.
     """
-    states = euler_solve_many(model, _as_state(x0, model.d)[None, :], path)[0]
-    return SolutionPath(path.grid, states, _as_state(x0, model.d), path.seed)
+    x0 = _as_state(x0, model.d)
+    return SolutionPath(path.grid, euler_solve_many(model, x0[None, :], path)[0], x0, path.seed)
+
+
+def _euler_steps(model: DriftModel, X: np.ndarray, dt: float, sigma_w):
+    """Yield (mu(X_n), X_{n+1}) from n = 0, one step per item sigma W(t_{n+1}) of ``sigma_w``.
+
+    The package's one Euler step, in Z = X - sigma W: Z starts at X, since
+    W(0) = 0, and gains dt mu(X_n) per step.  The caller checks finiteness.
+    """
+    z = X.copy()
+    for sw in sigma_w:
+        mu = model.mu_batch(X)
+        z += dt * mu
+        X = z + sw
+        yield mu, X
 
 
 def euler_solve_many(model: DriftModel, x0s: np.ndarray, path: BrownianPath) -> np.ndarray:
@@ -99,22 +113,17 @@ def euler_solve_many(model: DriftModel, x0s: np.ndarray, path: BrownianPath) -> 
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     if x0s.shape[-1] != model.d:
         raise ValueError(f"initial values must have last axis {model.d}, got {x0s.shape}")
+    if not np.isfinite(x0s).all():
+        raise ValueError(f"x0s must be finite, got {x0s}")
     N = path.grid.N
-    dt = path.grid.dt
-    sigw = path.values @ model.sigma.T  # (N+1, d)
-    B = x0s.shape[0]
-    out = np.empty((B, N + 1, model.d))
+    out = np.empty((x0s.shape[0], N + 1, model.d))
     out[:, 0, :] = x0s
-    z = x0s.astype(float).copy()  # Z[0] = x0 since W(0) = 0
+    sigw = path.values @ model.sigma.T  # (N+1, d)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(N):
-            z = z + dt * model.mu_batch(out[:, n, :])
-            nxt = z + sigw[n + 1]
-            if not np.isfinite(nxt).all():
-                raise DivergenceError(
-                    f"Euler state became non-finite at step {n + 1} of {N}", step=n + 1
-                )
-            out[:, n + 1, :] = nxt
+        for n, (_, X) in enumerate(_euler_steps(model, x0s, path.grid.dt, sigw[1:]), 1):
+            if not np.isfinite(X).all():
+                raise DivergenceError(f"Euler state became non-finite at step {n} of {N}", step=n)
+            out[:, n, :] = X
     return out
 
 

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _NORM_KINDS = ("euclidean", "max", "one")
+_SWEEP_LO, _SWEEP_HI, _SWEEP_POINTS = -10.0, 10.0, 41  # default_point_grid's box, points per axis
 
 
 @dataclass(frozen=True)
@@ -335,11 +336,11 @@ def lyapunov_grad_fd_error(model: DriftModel, points: np.ndarray) -> float:
 # -- default sweep grids --------------------------------------------------
 
 
-def default_point_grid(dim: int, lo: float = -10.0, hi: float = 10.0, points: int = 41) -> np.ndarray:
+def default_point_grid(dim: int) -> np.ndarray:
     """Default sweep sample in dimension ``dim``: the full tensor grid in
     dimensions 1 and 2, and the axis grids plus a fixed quasi-random box
     sample in higher dimensions (a full grid would grow exponentially)."""
-    axis = np.linspace(lo, hi, points)
+    axis = np.linspace(_SWEEP_LO, _SWEEP_HI, _SWEEP_POINTS)
     if dim == 1:
         return axis[:, None]
     if dim == 2:
@@ -347,11 +348,11 @@ def default_point_grid(dim: int, lo: float = -10.0, hi: float = 10.0, points: in
         return np.stack([a.ravel(), b.ravel()], axis=-1)
     embedded = []
     for j in range(dim):
-        block = np.zeros((points, dim))
+        block = np.zeros((_SWEEP_POINTS, dim))
         block[:, j] = axis
         embedded.append(block)
     rng = np.random.default_rng(12345)
-    box = rng.uniform(lo, hi, size=(points * points, dim))
+    box = rng.uniform(_SWEEP_LO, _SWEEP_HI, size=(_SWEEP_POINTS * _SWEEP_POINTS, dim))
     return np.concatenate(embedded + [box], axis=0)
 
 

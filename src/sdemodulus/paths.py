@@ -134,11 +134,8 @@ def sample_path(seed: int, grid: TimeGrid, m: int) -> BrownianPath:
     """Draw one Brownian path on the grid: N(0, dt) increments from substream (seed, 0)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    gen = substream(seed, 0)
-    incs = gen.standard_normal((grid.N, m)) * math.sqrt(grid.dt)
-    values = np.empty((grid.N + 1, m))
-    values[0] = 0.0
-    np.cumsum(incs, axis=0, out=values[1:])
+    slabs = brownian_slabs([substream(seed, 0)], grid, m)
+    values = np.concatenate([np.zeros((1, 1, m)), *slabs], axis=1)[0]
     return BrownianPath(grid, values, int(seed))
 
 
@@ -188,11 +185,14 @@ def map_batches(fn, n_samples: int, threads: int = 1) -> list:
         return list(pool.map(lambda r: fn(*r), ranges))
 
 
-def noise_slabs(gens, grid: TimeGrid, m: int):
-    """Yield the grid's N(0, dt) increments as (len(gens), S, m) slabs, S <= _SLAB_STEPS.
+def brownian_slabs(gens, grid: TimeGrid, m: int):
+    """Yield the node values W(t_1), ..., W(t_N) as (len(gens), S, m) slabs, S <= _SLAB_STEPS.
 
     Row b of every slab continues the stream of ``gens[b]``, so a sample's
-    increments do not depend on which batch it is drawn in.
+    path does not depend on which batch it is drawn in.  The N(0, dt)
+    increments are summed left to right from W(0) = 0, one slab after the
+    other, so every path is bitwise the one ``sample_path`` gives for its
+    generator.
     """
     sqdt = math.sqrt(grid.dt)
     for done in range(0, grid.N, _SLAB_STEPS):
@@ -201,6 +201,10 @@ def noise_slabs(gens, grid: TimeGrid, m: int):
         for bi, g in enumerate(gens):
             block[bi] = g.standard_normal((S, m))
         block *= sqdt
+        if done:
+            block[:, 0] += last
+        np.cumsum(block, axis=1, out=block)
+        last = block[:, -1].copy()
         yield block
 
 
@@ -221,14 +225,9 @@ def brownian_sup_values(
     """
 
     def one_batch(lo: int, hi: int) -> np.ndarray:
-        B = hi - lo
         gens = [substream(seed, i) for i in range(lo, hi)]
-        best = np.asarray(node_value(np.zeros((B, 1, m))), dtype=float)[:, 0]
-        carry = np.zeros((B, m))
-        for block in noise_slabs(gens, grid, m):
-            np.cumsum(block, axis=1, out=block)
-            block += carry[:, None, :]
-            carry = block[:, -1, :].copy()
+        best = np.asarray(node_value(np.zeros((hi - lo, 1, m))), dtype=float)[:, 0]
+        for block in brownian_slabs(gens, grid, m):
             np.maximum(best, np.max(node_value(block), axis=1), out=best)
         return best
 

@@ -40,15 +40,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import EstimatorError
+from .integrator import _euler_steps
 from .model import DriftModel
 from .paths import (
     MCEstimate,
     TimeGrid,
     _mc_from_samples,
     _write_table,
+    brownian_slabs,
     derive_seed,
     map_batches,
-    noise_slabs,
     substream,
 )
 
@@ -79,10 +80,10 @@ _MAX_EXCLUDED_FRACTION = 0.01
 class _Reducer:
     """Folds the nodes of one batch into ``out``, a list of arrays.
 
-    The kernel calls ``step(X, mu)`` with the state block and its drift just
-    before each Euler step, and ``node(k, X)`` with the block at node k just
-    after it; ``node`` returns a (B,) mask of the samples it can still count,
-    or True.
+    For each Euler step the kernel calls ``step(X, mu)`` with the state
+    block the step starts from and its drift, and then ``node(k, X)`` with
+    the block at node k that the step reaches; ``node`` returns a (B,) mask
+    of the samples it can still count, or True.
     """
 
     def step(self, X, mu):
@@ -161,10 +162,10 @@ def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):
     """Run every sample's trajectories from ``starts`` through a fresh reducer per batch.
 
     ``starts`` is one point, shape (d,), or a lattice, shape (L, d); all
-    trajectories of sample i share the increments of ``substream(seed, i)``
-    and advance by the Euler step in the shifted variable Z = X - sigma W.
-    ``reducer(X)`` builds a reducer from a batch's node-0 block X, of shape
-    (B,) + starts.shape.
+    trajectories of sample i are driven by the path of ``substream(seed, i)``
+    and advance by ``_euler_steps``, so sample 0 follows ``sample_path(seed)``
+    bitwise.  ``reducer(X)`` builds a reducer from a batch's node-0 block X,
+    of shape (B,) + starts.shape.
 
     A sample whose state leaves the floats is excluded whole: its batch runs
     again from the surviving samples' substreams, which repeat their
@@ -173,29 +174,25 @@ def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    m, dt = model.m, grid.dt
     sig_t = model.sigma.T
     noise_shape = (1,) * (starts.ndim - 1) + (model.d,)
 
     def run(indices):
         B = len(indices)
         gens = [substream(seed, int(i)) for i in indices]
-        zx = np.broadcast_to(starts, (B,) + starts.shape).copy()  # X - sigma W
-        w = np.zeros((B, m))
-        X = zx.copy()
+        sigma_w = (
+            (w @ sig_t).reshape((B,) + noise_shape)
+            for block in brownian_slabs(gens, grid, model.m)
+            for w in block.transpose(1, 0, 2)
+        )
+        X = np.broadcast_to(starts, (B,) + starts.shape).copy()
         red = reducer(X)
         alive = np.ones(B, dtype=bool)
-        k = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for block in noise_slabs(gens, grid, m):
-                for inc in block.transpose(1, 0, 2):
-                    mu = model.mu_batch(X)
-                    red.step(X, mu)
-                    zx += dt * mu
-                    w += inc
-                    X = zx + (w @ sig_t).reshape((B,) + noise_shape)
-                    k += 1
-                    alive &= np.isfinite(X).reshape(B, -1).all(axis=1) & red.node(k, X)
+            for k, (mu, nxt) in enumerate(_euler_steps(model, X, grid.dt, sigma_w), 1):
+                red.step(X, mu)
+                X = nxt
+                alive &= np.isfinite(X).reshape(B, -1).all(axis=1) & red.node(k, X)
         return alive, red
 
     def one_batch(lo, hi):
@@ -553,9 +550,6 @@ class RegularityConstants:
             c_global=global_bound_constant(tc.c_local, C, R, q),
         )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _rung_passes(empirical: MCEstimate, theoretical: float) -> bool:
     """One rung of the ladder holds: empirical mean - 3 SE <= theoretical."""
@@ -570,7 +564,7 @@ class RegularityReport:
     <= theoretical at every rung.
     """
 
-    model_name: str
+    model: str
     x_center: tuple
     direction: tuple
     ladder: tuple
@@ -592,22 +586,7 @@ class RegularityReport:
         return all(self.rung_passed(i) for i in range(len(self.ladder)))
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model_name,
-            "x_center": list(self.x_center),
-            "direction": list(self.direction),
-            "ladder": list(self.ladder),
-            "empirical": [e.to_dict() for e in self.empirical],
-            "theoretical": list(self.theoretical),
-            "constants": self.constants.to_dict(),
-            "pass": self.passed,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "T": self.T,
-            "N": self.N,
-            "lattice_points": self.lattice_points,
-            "safety": self.safety,
-        }
+        return {**asdict(self), "pass": self.passed}
 
     def write_csv(self, fileobj) -> None:
         _write_table(
@@ -636,8 +615,10 @@ def verify_modulus(
 ) -> RegularityReport:
     """Verify the logarithmic modulus along a ladder of separations.
 
-    ``ladder`` must be strictly decreasing inside (0, 1); ``direction`` is
-    normalized to unit state norm so each rung h is the exact separation.
+    ``ladder`` must be strictly decreasing inside (0, 1); ``direction`` must
+    be finite and nonzero, and is normalized to unit state norm so each rung
+    h is the exact separation (divided by its largest |entry| first, should
+    its norm under- or overflow).
     The center must satisfy |x_center| <= R, which keeps every perturbed
     start inside the radius-(R+1) ball that the K and C estimates sweep.
     Every rung is coupled to one set of paths from x_center, so rung h
@@ -670,10 +651,14 @@ def verify_modulus(
     direction = np.atleast_1d(np.asarray(direction, dtype=float))
     if direction.shape != (model.d,):
         raise ValueError(f"direction must have shape ({model.d},)")
-    dnorm = float(model.norm_state(direction))
-    if not 0.0 < dnorm < math.inf:
-        raise ValueError(f"direction must be finite and nonzero, got {direction}")
-    direction = direction / dnorm
+    if not np.isfinite(direction).all():
+        raise ValueError(f"direction must be finite, got {direction}")
+    if not direction.any():
+        raise ValueError(f"direction must be nonzero, got {direction}")
+    with np.errstate(over="ignore"):
+        if not 0.0 < float(model.norm_state(direction)) < math.inf:  # under- or overflow
+            direction = direction / np.max(np.abs(direction))
+    direction = direction / float(model.norm_state(direction))
 
     pair_seed = derive_seed(seed, 0)
     ys = x_center + np.array(ladder)[:, None] * direction
@@ -690,7 +675,7 @@ def verify_modulus(
     constants = RegularityConstants.compute(R, q, k_est.mean, c_est.mean, grid.T)
     theoretical = tuple(constants.c_global * abs(math.log(h)) ** (-q) for h in ladder)
     return RegularityReport(
-        model_name=model.name,
+        model=model.name,
         x_center=tuple(float(v) for v in x_center),
         direction=tuple(float(v) for v in direction),
         ladder=ladder,

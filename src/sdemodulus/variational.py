@@ -88,6 +88,8 @@ def variational_solve(model: DriftModel, sol: SolutionPath, h) -> VariationalPat
         cur = np.atleast_1d(np.asarray(h, dtype=float))
         if cur.shape != (model.d,):
             raise ValueError(f"direction must have shape ({model.d},), got {cur.shape}")
+        if not np.isfinite(cur).all():
+            raise ValueError(f"h must be finite, got {cur}")
         cur = cur.copy()
         out = np.empty((N + 1, model.d))
     out[0] = cur

@@ -235,6 +235,23 @@ def test_variational_divergence_exit_2(capsys):
     assert "trajectory diverged at step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--model", "linear1d", "--x0", "nan"],
+        ["variational", "--model", "oscillatory1d", "--x0", "inf"],
+        ["variational", "--model", "oscillatory1d", "--x0", "0.5", "--dir", "nan"],
+    ],
+    ids=["solve-x0", "variational-x0", "variational-dir"],
+)
+def test_non_finite_start_or_direction_exits_1(argv, capsys):
+    """A non-finite input is a usage error, not a trajectory that diverged."""
+    assert main(argv + ["--steps", "8", "--deterministic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 def test_variational_passes(capsys):
     code = main(
         ["variational", "--model", "oscillatory1d", "--x0", "0.3",

@@ -84,6 +84,17 @@ def test_dimension_mismatch_rejected():
         euler_solve(m, np.zeros(2), p)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_start_is_rejected_before_the_first_step(value):
+    """A NaN or inf start is bad input, not a divergence at step 1."""
+    m = catalog_model("linear1d")
+    p = sample_path(0, TimeGrid(1.0, 8), 1)
+    with pytest.raises(ValueError, match="^x0s must be finite"):
+        euler_solve_many(m, np.array([[0.5], [value]]), p)
+    with pytest.raises(ValueError, match="^x0s must be finite"):
+        euler_solve(m, [value], p)
+
+
 def test_divergence_carries_step_index():
     """Cubic drift from far out explodes in a few steps at coarse dt."""
     m = catalog_model("cubic_deterministic")

@@ -28,6 +28,7 @@ from sdemodulus import (
     substream,
     zero_path,
 )
+from sdemodulus.paths import brownian_sup_values
 
 
 # -- grids and paths ----------------------------------------------------------
@@ -57,6 +58,26 @@ def test_sample_path_deterministic():
 def test_sample_path_zero_horizon():
     p = sample_path(5, TimeGrid(0.0, 3), 2)
     assert np.all(p.values == 0.0)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("N", [1, 1024, 1025, 3000])
+def test_sample_path_is_one_left_to_right_sum(N, m):
+    """Slab by slab, the path is bitwise the cumsum of one draw of all N increments."""
+    grid = TimeGrid(1.0, N)
+    incs = substream(21, 0).standard_normal((N, m)) * math.sqrt(grid.dt)
+    want = np.concatenate([np.zeros((1, m)), np.cumsum(incs, axis=0)])
+    assert np.array_equal(sample_path(21, grid, m).values, want)
+
+
+def test_sup_values_take_the_path_of_sample_path():
+    """Past one slab too, sample 0 of the node-sup estimators is driven by sample_path(seed)."""
+    grid, m = TimeGrid(1.0, 3000), 2
+    for seed in range(4):
+        values = sample_path(seed, grid, m).values[None]
+        for node_value in (lambda w: np.exp(w[..., 0]), lambda w: np.exp(-w[..., 1])):
+            want = np.max(node_value(values))
+            assert brownian_sup_values(seed, grid, m, node_value, 2)[0] == want
 
 
 def test_zero_path():

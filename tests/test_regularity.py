@@ -31,11 +31,13 @@ from sdemodulus import (
     estimate_distance,
     estimate_K,
     estimate_poly_moment,
+    euler_solve_many,
     fg_decomposition_check,
     fg_F,
     fg_G,
     global_bound_constant,
     moment_bound_check,
+    sample_path,
     theoretical_constant,
     verify_modulus,
 )
@@ -432,6 +434,33 @@ def test_sup_inside_moments_equal_the_per_node_maxima(model, q, r):
     assert moment_bound_check(model, 0.5, r, grid, n, seed, lattice=lat, threads=2) == r_max
 
 
+class _SampleZero(regularity._Reducer):
+    """Sample 0's state at every node: an (N+1, L, d) array."""
+
+    def __init__(self, X, N):
+        self.out = np.empty((N + 1,) + X.shape[1:])
+        self.out[0] = X[0]
+
+    def node(self, k, X):
+        self.out[k] = X[0]
+        return True
+
+
+@pytest.mark.parametrize(
+    "model", [catalog_model("oscillatory1d"), catalog_model("bounded_tanh", d=3)],
+    ids=["osc", "tanh3"],
+)
+def test_ensemble_sample_zero_is_euler_solve_many_on_sample_path(model):
+    """One path and one Euler step: the kernel's sample 0 is the pathwise solver's, bitwise."""
+    grid, seed = TimeGrid(1.0, 1500), 31
+    lat = ball_lattice(model, 2.5, 3)
+    _, [out] = regularity._ensemble(
+        model, lat, grid, seed, 2, 1, lambda X: _SampleZero(X, grid.N), "reference"
+    )
+    want = euler_solve_many(model, lat, sample_path(seed, grid, model.m))
+    assert np.array_equal(out.swapaxes(0, 1), want)
+
+
 def test_sup_outside_thread_invariance_across_batches():
     m = catalog_model("oscillatory1d")
     args = (m, 1.0, 1.0, TimeGrid(1.0, 4), BATCH_SAMPLES + 50, 9)
@@ -621,6 +650,31 @@ def test_verify_modulus_normalizes_direction():
         TimeGrid(1.0, 64), 64, 3,
     )
     assert [e.mean for e in a.empirical] == [e.mean for e in b.empirical]
+
+
+@pytest.mark.parametrize(
+    "direction, plain", [([1e-200, 0.0], [1.0, 0.0]), ([1e200, 1e200], [1.0, 1.0])],
+    ids=["underflow", "overflow"],
+)
+def test_verify_modulus_rescales_a_direction_whose_norm_leaves_the_floats(direction, plain):
+    """A finite, nonzero direction is a direction, whatever its squares do."""
+    m = catalog_model("ou_nd", d=2)
+    args = ((0.1, 0.01), 1.0, 1.5, TimeGrid(1.0, 16), 8, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = verify_modulus(m, [0.5, 0.0], direction, *args, x_grid_points=3)
+    assert got == verify_modulus(m, [0.5, 0.0], plain, *args, x_grid_points=3)
+
+
+@pytest.mark.parametrize(
+    "direction, message", [([0.0, 0.0], "nonzero"), ([math.nan, 1.0], "finite")]
+)
+def test_verify_modulus_says_which_direction_fault(direction, message):
+    with pytest.raises(ValueError, match=f"^direction must be {message}, got"):
+        verify_modulus(
+            catalog_model("ou_nd", d=2), [0.5, 0.0], direction, (0.1, 0.01), 1.0, 1.5,
+            TimeGrid(1.0, 8), 8, 0,
+        )
 
 
 def test_verify_modulus_report_roundtrip(tmp_path):

@@ -105,6 +105,14 @@ def test_fd_first_order_in_eps():
     assert 1.5 <= d1 / d2 <= 2.5
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_direction_is_rejected(value):
+    m = catalog_model("oscillatory1d")
+    sol = euler_solve(m, np.array([0.5]), sample_path(1, TimeGrid(1.0, 8), 1))
+    with pytest.raises(ValueError, match="^h must be finite"):
+        variational_solve(m, sol, np.array([value]))
+
+
 def test_fd_eps_validation():
     m = catalog_model("zero")
     p = sample_path(0, TimeGrid(1.0, 8), 1)
