@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import euler_solve
-from .model import DriftModel
+from .model import DriftModel, _points
 from .paths import BrownianPath, path_sup_stats
 
 __all__ = [
@@ -167,10 +167,10 @@ def apriori_bound(model: DriftModel, xi, path: BrownianPath) -> AprioriBound:
     compared with sup_n |X(t_n)| at slack 1 + 1e-6.  The Euler solution
     stands in for the exact one, so the slack also absorbs discretization.
     """
+    xi = _points(xi, model.d, "xi")
     stats = path_sup_stats(model, path)
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    v0 = float(model.v_batch(xi_arr[None, :])[0])
+    v0 = float(model.v_batch(xi[None, :])[0])
     bound = v0 * _exp(path.grid.T * stats.sup_phi_w) + stats.sup_sigma_w
-    sol = euler_solve(model, xi_arr, path)
+    sol = euler_solve(model, xi, path)
     sup_sol = float(np.max(model.norm_state(sol.states)))
     return AprioriBound(bound=bound, sup_solution=sup_sol, ok=sup_sol <= bound * (1.0 + 1e-6))

@@ -18,6 +18,7 @@ import configparser
 import dataclasses
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -160,8 +161,8 @@ class ExperimentConfig:
             raise UsageError(f"threads must be >= 1, got {self.threads}")
         if self.u_grid < 2:
             raise UsageError(f"u_grid must be >= 2, got {self.u_grid}")
-        if self.tol is not None and self.tol <= 0.0:
-            raise UsageError(f"tol must be positive, got {self.tol}")
+        if self.tol is not None and not 0.0 < self.tol < math.inf:
+            raise UsageError(f"tol must be finite and positive, got {self.tol}")
 
     @classmethod
     def from_ini(cls, text: str, source: str = "<config>") -> "ExperimentConfig":

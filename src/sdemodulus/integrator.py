@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, GridMismatchError
-from .model import DriftModel
+from .model import DriftModel, _points
 from .paths import BrownianPath, TimeGrid, _write_series, restrict
 
 __all__ = [
@@ -70,20 +70,13 @@ class AdaptiveResult:
     converged: bool
 
 
-def _as_state(x0, d: int) -> np.ndarray:
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (d,):
-        raise ValueError(f"initial value must have shape ({d},), got {x0.shape}")
-    return x0
-
-
 def euler_solve(model: DriftModel, x0, path: BrownianPath) -> SolutionPath:
     """Run the Euler recursion along one driving path.
 
-    Raises DivergenceError (with the offending step index) as soon as a
-    non-finite state appears; states up to that step were still finite.
+    Raises DivergenceError (with the offending step index) after the last
+    step, at the first non-finite step; states up to that step were finite.
     """
-    x0 = _as_state(x0, model.d)
+    x0 = _points(x0, model.d, "x0s")
     return SolutionPath(path.grid, euler_solve_many(model, x0[None, :], path)[0], x0, path.seed)
 
 
@@ -91,7 +84,9 @@ def _euler_steps(model: DriftModel, X: np.ndarray, dt: float, sigma_w):
     """Yield (mu(X_n), X_{n+1}) from n = 0, one step per item sigma W(t_{n+1}) of ``sigma_w``.
 
     The package's one Euler step, in Z = X - sigma W: Z starts at X, since
-    W(0) = 0, and gains dt mu(X_n) per step.  The caller checks finiteness.
+    W(0) = 0, and gains dt mu(X_n) per step.  A non-finite z stays
+    non-finite, whatever mu returns, so callers check finiteness once, after
+    the last step.
     """
     z = X.copy()
     for sw in sigma_w:
@@ -110,20 +105,18 @@ def euler_solve_many(model: DriftModel, x0s: np.ndarray, path: BrownianPath) -> 
     """
     if path.m != model.m:
         raise GridMismatchError(f"path has m={path.m}, model expects m={model.m}")
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    if x0s.shape[-1] != model.d:
-        raise ValueError(f"initial values must have last axis {model.d}, got {x0s.shape}")
-    if not np.isfinite(x0s).all():
-        raise ValueError(f"x0s must be finite, got {x0s}")
+    x0s = _points(x0s, model.d, "x0s", stack=True)
     N = path.grid.N
     out = np.empty((x0s.shape[0], N + 1, model.d))
     out[:, 0, :] = x0s
     sigw = path.values @ model.sigma.T  # (N+1, d)
     with np.errstate(over="ignore", invalid="ignore"):
         for n, (_, X) in enumerate(_euler_steps(model, x0s, path.grid.dt, sigw[1:]), 1):
-            if not np.isfinite(X).all():
-                raise DivergenceError(f"Euler state became non-finite at step {n} of {N}", step=n)
             out[:, n, :] = X
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=(0, 2)))
+    if len(bad):
+        n = int(bad[0])
+        raise DivergenceError(f"Euler state became non-finite at step {n} of {N}", step=n)
     return out
 
 
@@ -137,8 +130,8 @@ def solve_adaptive(model: DriftModel, x0, fine_path: BrownianPath, tol: float) -
     solution is returned flagged unconverged.  A divergent intermediate
     level counts as an infinite distance rather than aborting.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     N_fine = fine_path.grid.N
     base = N_fine
     while base % 2 == 0:

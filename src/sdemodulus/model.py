@@ -86,6 +86,17 @@ class NormSpec:
 EUCLIDEAN = NormSpec("euclidean")
 
 
+def _points(x, d: int, name: str, stack: bool = False) -> np.ndarray:
+    """``name`` as a finite float point, shape (d,), or with ``stack`` a stack (n, d), n >= 1."""
+    x = (np.atleast_2d if stack else np.atleast_1d)(np.asarray(x, dtype=float))
+    if x.ndim != 1 + stack or x.shape[-1] != d or not len(x):
+        want = f"(n, {d}) with n >= 1" if stack else f"({d},)"
+        raise ValueError(f"{name} must have shape {want}, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class LyapunovSpec:
     """Lyapunov function V with gradient, and the noise-side growth function phi.

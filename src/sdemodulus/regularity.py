@@ -27,8 +27,8 @@ samples node by node and folds each node into a reducer: per-node sums for
 the coupled pairs, and over the start lattice one norm per node that feeds
 both C's per-(start, node) sums and each sample's running max of |X|, from
 which K follows.  No reducer keeps a node history, so memory does not grow
-with the step count N.  A sample that leaves the floats is dropped by
-running its batch again from the surviving samples' substreams.
+with the step count N.  A sample that leaves the floats, read after the
+last step, is dropped by running its batch again without it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import EstimatorError
 from .integrator import _euler_steps
-from .model import DriftModel
+from .model import DriftModel, _points
 from .paths import (
     MCEstimate,
     TimeGrid,
@@ -82,12 +82,15 @@ class _Reducer:
 
     For each Euler step the kernel calls ``step(X, mu)`` with the state
     block the step starts from and its drift, and then ``node(k, X)`` with
-    the block at node k that the step reaches; ``node`` returns a (B,) mask
-    of the samples it can still count, or True.
+    the block at node k that the step reaches.  ``finite()``, after the
+    last step, is a (B,) mask of the samples its state keeps, or True.
     """
 
     def step(self, X, mu):
         pass
+
+    def finite(self):
+        return True
 
 
 class _NodeSums(_Reducer):
@@ -106,7 +109,6 @@ class _NodeSums(_Reducer):
 
     def node(self, k, X):
         self._record(k, self.value(X))
-        return True
 
     def _record(self, k, v):
         for total, s in zip(self.out, self.stats(v, self.v0)):
@@ -131,8 +133,7 @@ class _PairSums(_NodeSums):
     def step(self, X, mu):
         self.delta = self.delta + self.dt * (mu - self.model.mu_batch(X - self.delta))
 
-    def node(self, k, X):
-        super().node(k, X)
+    def finite(self):
         return np.isfinite(self.delta).all(axis=(0, 2))
 
 
@@ -167,10 +168,12 @@ def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):
     bitwise.  ``reducer(X)`` builds a reducer from a batch's node-0 block X,
     of shape (B,) + starts.shape.
 
-    A sample whose state leaves the floats is excluded whole: its batch runs
-    again from the surviving samples' substreams, which repeat their
-    trajectories, so no node history is kept.  Returns the included count
-    and, in batch order, each batch's ``out``.
+    A sample is excluded whole iff its Z or its Delta left the floats.  Neither
+    returns to the floats, so both are read once, after the last step; a check
+    at every node differs only where a finite Z and sigma W overflow in their
+    sum, |Z| + |sigma W| > 1.7e308.  The batch runs again from the surviving
+    samples' substreams, which repeat their trajectories, so no node history
+    is kept.  Returns the included count and, in batch order, each batch's ``out``.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -187,13 +190,12 @@ def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):
         )
         X = np.broadcast_to(starts, (B,) + starts.shape).copy()
         red = reducer(X)
-        alive = np.ones(B, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             for k, (mu, nxt) in enumerate(_euler_steps(model, X, grid.dt, sigma_w), 1):
                 red.step(X, mu)
                 X = nxt
-                alive &= np.isfinite(X).reshape(B, -1).all(axis=1) & red.node(k, X)
-        return alive, red
+                red.node(k, X)
+        return np.isfinite(X).reshape(B, -1).all(axis=1) & red.finite(), red
 
     def one_batch(lo, hi):
         indices = np.arange(lo, hi)
@@ -254,14 +256,8 @@ def _pair_sums(model, x, y, grid, seed, n_samples, stats, threads, what):
     ``y`` is a stack of R end points, each coupled to the one trajectory
     from ``x``; a sample that diverges in any pair is excluded from all.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if x.shape != (model.d,) or y.shape[1:] != (model.d,):
-        raise ValueError(f"x and y must have shape ({model.d},)")
-    if not np.isfinite(x).all():
-        raise ValueError(f"x must be finite, got {x}")
-    if not np.isfinite(y).all():
-        raise ValueError(f"y must be finite, got {y}")
+    x = _points(x, model.d, "x")
+    y = _points(y, model.d, "y", stack=True)
     count, outs = _ensemble(
         model, x, grid, seed, n_samples, threads,
         lambda X: _PairSums(model, grid.dt, x - y, X, grid.N, stats), what,
@@ -362,12 +358,16 @@ def ball_lattice(model: DriftModel, radius: float, points_per_axis: int) -> np.n
     """A per-axis uniform lattice of [-radius, radius]^d kept inside the ball.
 
     A finite lattice under-estimates a sup over the ball, which is why the
-    K estimate carries a safety factor.
+    K estimate carries a safety factor.  The corner (radius, ..., radius)
+    bounds every point's norm; it and the axis width 2 radius must be finite.
     """
     if points_per_axis < 1:
         raise ValueError("points_per_axis must be >= 1")
-    if not 0.0 <= radius < math.inf:
-        raise ValueError(f"radius must be finite and >= 0, got {radius}")
+    radius = float(radius)
+    with np.errstate(over="ignore"):
+        corner = model.norm_state(np.full(model.d, radius))
+    if not (radius >= 0.0 and corner < math.inf and 2.0 * radius < math.inf):
+        raise ValueError(f"radius must be >= 0 and give the corner a finite norm, got {radius}")
     axis = np.linspace(-radius, radius, points_per_axis) if points_per_axis > 1 else np.zeros(1)
     grids = np.meshgrid(*([axis] * model.d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -384,11 +384,7 @@ def _lattice_pass(model, R, x_grid_points, lattice, grid, seed, n_samples, threa
         raise ValueError(f"R must be finite and >= 0, got {R}")
     if lattice is None:
         lattice = ball_lattice(model, R + 1.0, x_grid_points)
-    lattice = np.atleast_2d(np.asarray(lattice, dtype=float))
-    if lattice.ndim != 2 or lattice.shape[1] != model.d or not len(lattice):
-        raise ValueError(f"lattice must have shape (L, {model.d}) with L >= 1, got {lattice.shape}")
-    if not np.isfinite(lattice).all():
-        raise ValueError("lattice must be finite")
+    lattice = _points(lattice, model.d, "lattice", stack=True)
     count, outs = _ensemble(
         model, lattice, grid, seed, n_samples, threads,
         lambda X: _LatticeSums(model, X, grid.N, stats), what,
@@ -492,7 +488,7 @@ def theoretical_constant(K: float, q: float, T: float) -> ModulusConstants:
 
     Kcal = 1 + 2^(4q+4) (|ln(2 + e^q)|^(4q+4) + T^(4q+4) K) and
     c_local = 2 sqrt((1 + 4K) Kcal), giving
-    sup_t E |X^(x+h) - X^x| <= c_local |ln |h||^(-q) for 0 < |h| < 1.
+    sup_t E |X^(x+h) - X^x| <= c_local |ln |h||^(-q) for 0 < |h| < 1; Kcal is inf on overflow.
     """
     if K < 0.0:
         raise ValueError(f"K must be >= 0, got {K}")
@@ -501,24 +497,31 @@ def theoretical_constant(K: float, q: float, T: float) -> ModulusConstants:
     if T < 0.0:
         raise ValueError(f"T must be >= 0, got {T}")
     expo = 4.0 * q + 4.0
-    kcal = 1.0 + 2.0 ** expo * (abs(math.log(2.0 + math.exp(q))) ** expo + T ** expo * K)
+    try:
+        kcal = 1.0 + 2.0 ** expo * (abs(math.log(2.0 + math.exp(q))) ** expo + T ** expo * K)
+    except OverflowError:  # a Python float power or exp raises where numpy gives inf
+        kcal = math.inf
     return ModulusConstants(Kcal=kcal, c_local=2.0 * math.sqrt((1.0 + 4.0 * K) * kcal))
 
 
 def global_bound_constant(c_local: float, C: float, R: float, q: float) -> float:
-    """max(c_local, 2 C |ln(2R+1)|^q): the constant valid for all separations != 1."""
+    """max(c_local, 2 C |ln(2R+1)|^q), or inf on overflow: the constant for all separations != 1."""
     if c_local < 0.0 or C < 0.0 or R < 0.0 or q < 0.0:
         raise ValueError("c_local, C, R, q must all be >= 0")
-    return max(c_local, 2.0 * C * abs(math.log(2.0 * R + 1.0)) ** q)
+    try:
+        return max(c_local, 2.0 * C * abs(math.log(2.0 * R + 1.0)) ** q)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
 class RegularityConstants:
-    """All constants of one modulus verification, mutually consistent.
+    """All constants of one modulus verification, finite and mutually consistent.
 
-    ``K`` already includes the lattice safety factor.  Consistency of
-    ``c_local`` and ``c_global`` with the other fields is enforced at
-    construction.
+    ``K`` already includes the lattice safety factor.  Construction raises
+    EstimatorError naming a constant that left the floats, since a bound
+    made of inf holds everywhere, and checks ``c_local`` and ``c_global``
+    against the other fields.
     """
 
     R: float
@@ -530,6 +533,10 @@ class RegularityConstants:
     c_global: float
 
     def __post_init__(self):
+        for name in ("K", "C", "Kcal", "c_local", "c_global"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise EstimatorError(f"{name} = {value} is not finite, so the bound cannot fail")
         want_local = 2.0 * math.sqrt((1.0 + 4.0 * self.K) * self.Kcal)
         if not math.isclose(self.c_local, want_local, rel_tol=1e-9):
             raise ValueError(f"c_local={self.c_local} inconsistent, expected {want_local}")
@@ -641,18 +648,10 @@ def verify_modulus(
         raise ValueError(f"safety must be finite and positive, got {safety}")
     if x_grid_points < 1:
         raise ValueError(f"x_grid_points must be >= 1, got {x_grid_points}")
-    x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
-    if x_center.shape != (model.d,):
-        raise ValueError(f"x_center must have shape ({model.d},)")
-    if not np.isfinite(x_center).all():
-        raise ValueError(f"x_center must be finite, got {x_center}")
+    x_center = _points(x_center, model.d, "x_center")
     if float(model.norm_state(x_center)) > R * (1.0 + 1e-12):
         raise ValueError("x_center must lie inside the ball of radius R")
-    direction = np.atleast_1d(np.asarray(direction, dtype=float))
-    if direction.shape != (model.d,):
-        raise ValueError(f"direction must have shape ({model.d},)")
-    if not np.isfinite(direction).all():
-        raise ValueError(f"direction must be finite, got {direction}")
+    direction = _points(direction, model.d, "direction")
     if not direction.any():
         raise ValueError(f"direction must be nonzero, got {direction}")
     with np.errstate(over="ignore"):
@@ -670,7 +669,8 @@ def verify_modulus(
         model, R, x_grid_points, None, grid, lattice_seed, n_samples, threads,
         _mean_and_spread, "K and C",
     )
-    k_est = _K_from_max(model, top, q, safety, lattice_seed)
+    with np.errstate(over="ignore"):  # RegularityConstants names a K that overflows
+        k_est = _K_from_max(model, top, q, safety, lattice_seed)
     c_est = _sup_of_means(*c_sums, lattice_count, lattice_seed)
     constants = RegularityConstants.compute(R, q, k_est.mean, c_est.mean, grid.T)
     theoretical = tuple(constants.c_global * abs(math.log(h)) ** (-q) for h in ladder)

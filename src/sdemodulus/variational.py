@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .integrator import SolutionPath, euler_solve_many
-from .model import DriftModel
+from .model import DriftModel, _points
 from .paths import BrownianPath, TimeGrid, _write_series
 
 __all__ = [
@@ -83,15 +83,9 @@ def variational_solve(model: DriftModel, sol: SolutionPath, h) -> VariationalPat
         if h != FULL:
             raise ValueError(f'direction must be a vector or "full", got {h!r}')
         cur = np.eye(model.d)
-        out = np.empty((N + 1, model.d, model.d))
     else:
-        cur = np.atleast_1d(np.asarray(h, dtype=float))
-        if cur.shape != (model.d,):
-            raise ValueError(f"direction must have shape ({model.d},), got {cur.shape}")
-        if not np.isfinite(cur).all():
-            raise ValueError(f"h must be finite, got {cur}")
-        cur = cur.copy()
-        out = np.empty((N + 1, model.d))
+        cur = _points(h, model.d, "h")
+    out = np.empty((N + 1,) + cur.shape)
     out[0] = cur
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N):
@@ -115,8 +109,8 @@ def finite_difference_profile(
     ensemble call), so sweeping several eps values costs one extra
     trajectory each.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = np.atleast_1d(np.asarray(h, dtype=float))
+    x = _points(x, model.d, "x")
+    h = _points(h, model.d, "h")
     eps_values = [float(e) for e in eps_values]
     if any(e <= 0.0 for e in eps_values):
         raise ValueError("eps values must be positive")
@@ -193,8 +187,8 @@ def pathwise_distance_bound(
     """
     if u_grid < 2:
         raise ValueError("u_grid must be >= 2 to include both endpoints")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    x = _points(x, model.d, "x")
+    y = _points(y, model.d, "y")
     dist0 = float(model.norm_state(x - y))
 
     def segment(n_points: int) -> np.ndarray:

@@ -229,3 +229,9 @@ def test_apriori_random_sweep_all_models():
             xi = rng.uniform(-2.0, 2.0, m.d)
             res = apriori_bound(m, xi, path)
             assert res.ok, f"{name}: {res.sup_solution} > {res.bound}"
+
+
+def test_apriori_names_a_non_finite_start():
+    m = catalog_model("linear1d")
+    with pytest.raises(ValueError, match=r"^xi must be finite, got \[nan\]"):
+        apriori_bound(m, [math.nan], zero_path(TimeGrid(1.0, 8), 1))

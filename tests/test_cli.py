@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import warnings
 
 import pytest
 
@@ -372,6 +373,52 @@ def test_verify_modulus_non_finite_kappa_exits_1(value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "kappa must be" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--model", "linear1d", "--x0", "0.5", "--steps", "8"],
+        ["variational", "--model", "oscillatory1d", "--x0", "0.5", "--steps", "8"],
+        ["check-model", "--model", "oscillatory1d"],
+    ],
+    ids=["solve", "variational", "check-model"],
+)
+def test_nan_tol_exits_1(argv, capsys):
+    assert main(argv + ["--tol", "nan", "--deterministic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tol must be finite and positive" in captured.err
+
+
+@pytest.mark.parametrize("extra", [["--kappa", "100"], ["--q", "40"], ["--q", "200"]])
+def test_verify_modulus_infinite_constant_exits_2(extra, capsys):
+    """An infinite K would make every rung pass; the run fails by name, without a warning."""
+    args = [
+        "verify-modulus", "--model", "oscillatory1d", "--x0", "0.5", "--dir", "1",
+        "--ladder", "1e-1,1e-2", "--samples", "64", "--steps", "64", "--lattice-points", "3",
+        "--deterministic",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sdemod: estimator failure: K = inf is not finite")
+    assert "Traceback" not in captured.err
+
+
+def test_verify_modulus_radius_beyond_the_lattice_norm_exits_1(capsys):
+    args = [
+        "verify-modulus", "--model", "ou_nd", "--d", "2", "--x0", "0.5,0", "--dir", "1,0",
+        "--R", "1e200", "--samples", "16", "--steps", "8", "--deterministic",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "radius must" in captured.err
 
 
 def test_flag_overrides_config(tmp_path, capsys):

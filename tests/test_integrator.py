@@ -7,6 +7,7 @@ order-1 convergence shows as error halving when N doubles.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 
@@ -101,6 +102,31 @@ def test_divergence_carries_step_index():
     with pytest.raises(DivergenceError) as exc:
         euler_solve(m, np.array([1e5]), zero_path(TimeGrid(1.0, 4), 1))
     assert 1 <= exc.value.step <= 4
+
+
+def test_divergence_step_is_the_first_non_finite_node_when_the_drift_recovers():
+    """A drift that is finite again on non-finite input cannot hide where X left the floats.
+
+    From 0 on a zero path X_n = n/8 exactly, so X_3 = 0.375 is the first state past the
+    cliff at 0.3, and the step from it makes X_4 infinite.
+    """
+
+    def mu(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isfinite(x), np.where(x > 0.3, np.inf, 1.0), 0.0)
+
+    m = dataclasses.replace(catalog_model("zero"), mu=mu)
+    with pytest.raises(DivergenceError, match="at step 4 of 8") as exc:
+        euler_solve_many(m, np.array([[0.0], [-1.0]]), zero_path(TimeGrid(1.0, 8), 1))
+    assert exc.value.step == 4
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+def test_solve_adaptive_rejects_a_tol_outside_0_inf(tol):
+    m = catalog_model("linear1d")
+    with pytest.raises(ValueError, match="^tol must be finite and positive"):
+        solve_adaptive(m, np.array([0.5]), sample_path(0, TimeGrid(1.0, 8), 1), tol)
 
 
 def test_restriction_consistency_bitwise():

@@ -23,6 +23,8 @@ import pytest
 
 import sdemodulus.regularity as regularity
 from sdemodulus import (
+    BrownianPath,
+    DivergenceError,
     EstimatorError,
     RegularityConstants,
     TimeGrid,
@@ -41,7 +43,14 @@ from sdemodulus import (
     theoretical_constant,
     verify_modulus,
 )
-from sdemodulus.paths import BATCH_SAMPLES, MCEstimate, _mc_from_samples, derive_seed
+from sdemodulus.paths import (
+    BATCH_SAMPLES,
+    MCEstimate,
+    _mc_from_samples,
+    brownian_slabs,
+    derive_seed,
+    substream,
+)
 from sdemodulus.regularity import _rung_passes
 
 
@@ -181,6 +190,32 @@ def test_ball_lattice_rejects_a_radius_outside_0_inf(radius):
     """A NaN radius would give the origin alone and an infinite one [[inf, inf]]."""
     with pytest.raises(ValueError, match="^radius must"):
         ball_lattice(catalog_model("ou_nd", d=2), radius, 3)
+
+
+@pytest.mark.parametrize(
+    "model, radius",
+    [(catalog_model("ou_nd", d=2), 1e200), (catalog_model("linear1d", norm_state="max"), 1.7e308)],
+    ids=["euclidean-corner", "max-width"],
+)
+def test_ball_lattice_rejects_a_radius_whose_lattice_leaves_the_floats(model, radius):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^radius must"):
+            ball_lattice(model, radius, 3)
+
+
+@pytest.mark.parametrize(
+    "model, radius, points",
+    [
+        (catalog_model("ou_nd", d=2), 1e150, 5),
+        (catalog_model("ou_nd", d=2, norm_state="max"), 1e300, 9),
+    ],
+    ids=["euclidean", "max"],
+)
+def test_ball_lattice_keeps_a_large_radius_whose_corner_norm_is_finite(model, radius, points):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(ball_lattice(model, radius, 3)) == points
 
 
 @pytest.mark.parametrize(
@@ -402,7 +437,6 @@ class _NodeMax(regularity._Reducer):
     def node(self, k, X):
         for best, s in zip(self.out, self._stats(X)):
             np.maximum(best, s, out=best)
-        return True
 
 
 @pytest.mark.parametrize(
@@ -443,7 +477,6 @@ class _SampleZero(regularity._Reducer):
 
     def node(self, k, X):
         self.out[k] = X[0]
-        return True
 
 
 @pytest.mark.parametrize(
@@ -459,6 +492,74 @@ def test_ensemble_sample_zero_is_euler_solve_many_on_sample_path(model):
     )
     want = euler_solve_many(model, lat, sample_path(seed, grid, model.m))
     assert np.array_equal(out.swapaxes(0, 1), want)
+
+
+class _States(regularity._Reducer):
+    """Every sample's state at every node: a (B, N+1, L, d) array."""
+
+    def __init__(self, X, N):
+        self.out = np.empty((len(X), N + 1) + X.shape[1:])
+        self.out[:, 0] = X
+
+    def node(self, k, X):
+        self.out[:, k] = X
+
+
+def _own_path(seed, i, grid):
+    """Sample i's driving path in an ensemble on ``seed``, as one BrownianPath."""
+    slabs = brownian_slabs([substream(seed, i)], grid, 1)
+    return BrownianPath(grid, np.concatenate([np.zeros((1, 1, 1)), *slabs], axis=1)[0], seed)
+
+
+def test_ensemble_drops_exactly_the_samples_whose_own_solve_diverges():
+    """A drift that maps non-finite input back to 0 cannot revive a sample read after the last step.
+
+    Past |x| = 2.6 the drift is inf, which sends Z to inf; from then on the drift is 0,
+    and Z stays inf.  The kernel keeps, bitwise, the trajectories of exactly the samples
+    whose own ``euler_solve_many`` does not raise.
+    """
+
+    def mu(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isfinite(x), np.where(np.abs(x) > 2.6, np.inf, -x), 0.0)
+
+    m = dataclasses.replace(catalog_model("linear1d"), mu=mu)
+    grid, n, seed = TimeGrid(1.0, 64), 400, 5
+    lat = np.array([[1.0], [0.9]])
+    want = []
+    for i in range(n):
+        try:
+            want.append(euler_solve_many(m, lat, _own_path(seed, i, grid)).swapaxes(0, 1))
+        except DivergenceError:
+            pass
+    assert 1 <= n - len(want) <= 4
+    count, outs = regularity._ensemble(
+        m, lat, grid, seed, n, 1, lambda X: _States(X, grid.N), "reference"
+    )
+    assert count == len(want)
+    assert np.array_equal(np.concatenate(outs), np.stack(want))
+
+
+def test_pair_whose_y_side_alone_crosses_a_cliff_is_excluded_by_delta():
+    """X^x never nears the one-sided cliff, so only Delta can show that X^y went past it."""
+    m = dataclasses.replace(
+        catalog_model("zero"), mu=lambda x: np.where(np.asarray(x) < -2.8, np.inf, 0.0)
+    )
+    grid, n, seed = TimeGrid(1.0, 64), 400, 5
+    y_diverges = []
+    for i in range(n):
+        path = _own_path(seed, i, grid)
+        euler_solve_many(m, [[10.0]], path)  # X^x stays finite on every path
+        try:
+            euler_solve_many(m, [[0.0]], path)
+        except DivergenceError:
+            y_diverges.append(i)
+    assert 1 <= len(y_diverges) <= 4
+    count, _ = regularity._pair_sums(
+        m, [10.0], [[0.0]], grid, seed, n, regularity._mean_and_spread, 1, "pair"
+    )
+    assert count == n - len(y_diverges)
 
 
 def test_sup_outside_thread_invariance_across_batches():
@@ -675,6 +776,33 @@ def test_verify_modulus_says_which_direction_fault(direction, message):
             catalog_model("ou_nd", d=2), [0.5, 0.0], direction, (0.1, 0.01), 1.0, 1.5,
             TimeGrid(1.0, 8), 8, 0,
         )
+
+
+@pytest.mark.parametrize(
+    "model, q, name",
+    [
+        (catalog_model("oscillatory1d", kappa=100.0), 1.0, "K"),
+        (catalog_model("oscillatory1d"), 40.0, "K"),
+        (catalog_model("zero"), 200.0, "Kcal"),
+    ],
+    ids=["kappa100", "q40", "q200"],
+)
+def test_verify_modulus_names_a_constant_that_left_the_floats(model, q, name):
+    """A bound made of infinite constants holds everywhere, so it cannot be a verdict."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimatorError, match=f"^{name} = inf is not finite"):
+            verify_modulus(
+                model, [0.5], [1.0], (1e-1, 1e-2), q, 1.5, TimeGrid(1.0, 64), 64, 0,
+                x_grid_points=3,
+            )
+
+
+def test_constants_overflow_to_inf():
+    """Python float powers raise OverflowError; the constants report inf instead."""
+    assert theoretical_constant(1.0, 200.0, 1.0).Kcal == math.inf
+    assert theoretical_constant(1.0, 200.0, 1.0).c_local == math.inf
+    assert global_bound_constant(1.0, 1.0, 1e300, 1e3) == math.inf
 
 
 def test_verify_modulus_report_roundtrip(tmp_path):

@@ -105,6 +105,23 @@ def test_fd_first_order_in_eps():
     assert 1.5 <= d1 / d2 <= 2.5
 
 
+@pytest.mark.parametrize("arg", ["x", "y"])
+def test_pathwise_bound_names_the_non_finite_end(arg):
+    """A NaN end is reported under its own name, not as the solver's x0s."""
+    m = catalog_model("oscillatory1d")
+    kw = {"x": [0.4], "y": [0.3], arg: [math.nan]}
+    with pytest.raises(ValueError, match=rf"^{arg} must be finite"):
+        pathwise_distance_bound(m, kw["x"], kw["y"], sample_path(1, TimeGrid(1.0, 8), 1))
+
+
+@pytest.mark.parametrize("arg", ["x", "h"])
+def test_finite_difference_profile_names_the_non_finite_argument(arg):
+    m = catalog_model("oscillatory1d")
+    kw = {"x": [0.4], "h": [1.0], arg: [math.inf]}
+    with pytest.raises(ValueError, match=rf"^{arg} must be finite"):
+        finite_difference_profile(m, kw["x"], kw["h"], sample_path(1, TimeGrid(1.0, 8), 1), [1e-4])
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_direction_is_rejected(value):
     m = catalog_model("oscillatory1d")
