@@ -76,7 +76,7 @@ def euler_solve(model: DriftModel, x0, path: BrownianPath) -> SolutionPath:
     Raises DivergenceError (with the offending step index) after the last
     step, at the first non-finite step; states up to that step were finite.
     """
-    x0 = _points(x0, model.d, "x0s")
+    x0 = _points(x0, model.d, "x0")
     return SolutionPath(path.grid, euler_solve_many(model, x0[None, :], path)[0], x0, path.seed)
 
 

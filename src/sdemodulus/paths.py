@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import EstimatorError, GridMismatchError
 from .model import EUCLIDEAN, DriftModel, NormSpec
 
 __all__ = [
@@ -199,7 +199,7 @@ def brownian_slabs(gens, grid: TimeGrid, m: int):
         S = min(_SLAB_STEPS, grid.N - done)
         block = np.empty((len(gens), S, m))
         for bi, g in enumerate(gens):
-            block[bi] = g.standard_normal((S, m))
+            g.standard_normal(out=block[bi])
         block *= sqdt
         if done:
             block[:, 0] += last
@@ -212,26 +212,40 @@ def brownian_sup_values(
     seed: int,
     grid: TimeGrid,
     m: int,
-    node_value,
+    slab_sup,
     n_samples: int,
     threads: int = 1,
 ) -> np.ndarray:
-    """Per-sample sup over grid nodes of node_value(W), as an (n_samples,) array.
+    """Per-sample sup over grid nodes of a node statistic of W, as an (n_samples,) array.
 
-    ``node_value`` maps a (batch, steps, m) block of path values to a
-    (batch, steps) array of nonnegative node statistics; it must be
-    monotone-free (pure function of the node value) since it is applied
-    slab by slab.
+    ``slab_sup`` maps a (batch, steps, m) slab of path values to the
+    (batch,) sup of the statistic over the slab's nodes.  It is called on
+    W(0) = 0 first and then slab by slab, and the running max of its values
+    is returned, so the statistic must depend on each node's value alone.
+
+    The estimators pass ``lambda w: np.max(norm(w), axis=1)``, or for a
+    scalar path ``_abs_sup``, which takes max(max W, -min W) and no norm at
+    all.  Every ``NormSpec`` kind is |.| on R^1, sqrt(fl(w * w)) = |w| in
+    round-to-nearest, and fl(|s| |w|) is monotone in |w|, so the two agree
+    bitwise, also after a scale by |sigma|, except where |sigma w| at the
+    sup node is below about 1.5e-154 or above about 1.3e154: there w * w
+    under- or overflows, and the shortcut gives the exact value.
     """
 
     def one_batch(lo: int, hi: int) -> np.ndarray:
         gens = [substream(seed, i) for i in range(lo, hi)]
-        best = np.asarray(node_value(np.zeros((hi - lo, 1, m))), dtype=float)[:, 0]
+        best = np.asarray(slab_sup(np.zeros((hi - lo, 1, m))), dtype=float)
         for block in brownian_slabs(gens, grid, m):
-            np.maximum(best, np.max(node_value(block), axis=1), out=best)
+            np.maximum(best, slab_sup(block), out=best)
         return best
 
     return np.concatenate(map_batches(one_batch, n_samples, threads))
+
+
+def _abs_sup(w: np.ndarray) -> np.ndarray:
+    """The ``slab_sup`` of |W| for a (batch, steps, 1) slab: max(max W, -min W)."""
+    w = w[..., 0]
+    return np.maximum(np.max(w, axis=1), -np.min(w, axis=1))
 
 
 def _mc_from_samples(stats: np.ndarray, seed: int) -> MCEstimate:
@@ -244,6 +258,15 @@ def _mc_from_samples(stats: np.ndarray, seed: int) -> MCEstimate:
     else:
         se = 0.0
     return MCEstimate(mean=mean, std_error=se, n_samples=n, seed=int(seed))
+
+
+def _require_finite(est: MCEstimate, what: str) -> MCEstimate:
+    """``est``, or EstimatorError naming the moment ``what`` if its mean or error is not finite."""
+    if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
+        raise EstimatorError(
+            f"{what} left the floats: mean = {est.mean}, std_error = {est.std_error}"
+        )
+    return est
 
 
 def estimate_exp_moment(
@@ -261,7 +284,8 @@ def estimate_exp_moment(
     Requires alpha < 2: at alpha = 2 the expectation is infinite for large c
     (Gaussian tails), so super-quadratic exponents are rejected outright.
     Since exp and |.|**alpha are nondecreasing, the sup is exp(c M**alpha)
-    with M the node sup of |W|; that is what each sample evaluates.
+    with M the node sup of |W|; that is what each sample evaluates.  Raises
+    EstimatorError if the mean or its standard error leaves the floats.
     """
     if not 0.0 <= c < math.inf:
         raise ValueError(f"c must be finite and >= 0, got {c}")
@@ -269,10 +293,11 @@ def estimate_exp_moment(
         raise ValueError(f"alpha must lie in [0, 2), got {alpha}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    sups = brownian_sup_values(seed, grid, m, lambda w: norm(w), n_samples, threads)
+    slab_sup = _abs_sup if m == 1 else lambda w: np.max(norm(w), axis=1)
+    sups = brownian_sup_values(seed, grid, m, slab_sup, n_samples, threads)
     with np.errstate(over="ignore"):
-        stats = np.exp(c * sups ** alpha)
-    return _mc_from_samples(stats, seed)
+        est = _mc_from_samples(np.exp(c * sups ** alpha), seed)
+    return _require_finite(est, f"E[sup exp(c |W|^alpha)] at c = {c}, alpha = {alpha}")
 
 
 def estimate_poly_moment(
@@ -285,7 +310,10 @@ def estimate_poly_moment(
     norm_state: NormSpec = EUCLIDEAN,
     threads: int = 1,
 ) -> MCEstimate:
-    """Estimate E[sup_n |sigma W(t_n)|**r] by Monte Carlo."""
+    """Estimate E[sup_n |sigma W(t_n)|**r] by Monte Carlo.
+
+    Raises EstimatorError if the mean or its standard error leaves the floats.
+    """
     if not 0.0 <= r < math.inf:
         raise ValueError(f"r must be finite and >= 0, got {r}")
     if n_samples < 1:
@@ -293,12 +321,16 @@ def estimate_poly_moment(
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     if sigma.shape[1] != m:
         raise ValueError(f"sigma must have m = {m} columns, got shape {sigma.shape}")
-    sig_t = sigma.T
-    sups = brownian_sup_values(
-        seed, grid, m, lambda w: norm_state(w @ sig_t), n_samples, threads
-    )
-    stats = sups ** r
-    return _mc_from_samples(stats, seed)
+    if sigma.shape == (1, 1):
+        sups = abs(sigma[0, 0]) * brownian_sup_values(seed, grid, m, _abs_sup, n_samples, threads)
+    else:
+        sig_t = sigma.T
+        sups = brownian_sup_values(
+            seed, grid, m, lambda w: np.max(norm_state(w @ sig_t), axis=1), n_samples, threads
+        )
+    with np.errstate(over="ignore"):
+        est = _mc_from_samples(sups ** r, seed)
+    return _require_finite(est, f"E[sup |sigma W|^r] at r = {r}")
 
 
 def _cell(v):

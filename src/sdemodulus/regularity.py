@@ -46,6 +46,7 @@ from .paths import (
     MCEstimate,
     TimeGrid,
     _mc_from_samples,
+    _require_finite,
     _write_table,
     brownian_slabs,
     derive_seed,
@@ -232,7 +233,8 @@ def _sup_of_means(sums, dev, dev_sq, count, seed) -> MCEstimate:
     """
     means = sums / count
     i = int(np.argmax(means))
-    var = max(0.0, (dev_sq.flat[i] - dev.flat[i] ** 2 / count) / (count - 1))
+    # max(x, 0.0) keeps a NaN x, from sums that overflowed; max(0.0, x) would give 0.0
+    var = max((dev_sq.flat[i] - dev.flat[i] ** 2 / count) / (count - 1), 0.0)
     return MCEstimate(
         mean=float(means.flat[i]),
         std_error=float(math.sqrt(var / count)),
@@ -425,7 +427,7 @@ def estimate_K(
     sample's driving path; K is the larger of the two sample means, reported
     with the larger of the two standard errors.  Since the lattice sup
     under-estimates the ball sup, the result (mean and error alike) is
-    scaled by ``safety``.
+    scaled by ``safety``.  Raises EstimatorError if it leaves the floats.
     """
     if not 0.0 <= q < math.inf:
         raise ValueError(f"q must be finite and >= 0, got {q}")
@@ -435,7 +437,9 @@ def estimate_K(
         model, R, x_grid_points, lattice, grid, seed, n_samples, threads,
         lambda v, v0: (), "estimate_K",
     )
-    return _K_from_max(model, top, q, safety, seed)
+    with np.errstate(over="ignore"):
+        est = _K_from_max(model, top, q, safety, seed)
+    return _require_finite(est, f"K at q = {q}, R = {R}")
 
 
 def moment_bound_check(
@@ -457,7 +461,8 @@ def moment_bound_check(
     ``sup_outside=True`` it is sup_{x,t} E[|X^x(t)|^r]: per-(start, node)
     means are computed first and the sup taken afterwards, which for r = 1
     is exactly the constant C of the global modulus bound; the standard
-    error is that of the argmax pair.
+    error is that of the argmax pair.  Raises EstimatorError if the mean or
+    its standard error leaves the floats.
     """
     if not 0.0 <= r < math.inf:
         raise ValueError(f"r must be finite and >= 0, got {r}")
@@ -465,13 +470,16 @@ def moment_bound_check(
     def moments(v, v0):
         return _mean_and_spread(v ** r, v0 ** r) if sup_outside else ()
 
-    count, sums, top = _lattice_pass(
-        model, R, x_grid_points, lattice, grid, seed, n_samples, threads, moments,
-        "moment_bound_check",
-    )
-    if sup_outside:
-        return _sup_of_means(*sums, count, seed)
-    return _mc_from_samples(top ** r, seed)  # sup of |X|^r is (sup |X|)^r, as in K
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in a spread
+        count, sums, top = _lattice_pass(
+            model, R, x_grid_points, lattice, grid, seed, n_samples, threads, moments,
+            "moment_bound_check",
+        )
+        if sup_outside:
+            est, what = _sup_of_means(*sums, count, seed), "sup E[|X|^r]"
+        else:  # sup of |X|^r is (sup |X|)^r, as in K
+            est, what = _mc_from_samples(top ** r, seed), "E[sup |X|^r]"
+    return _require_finite(est, f"{what} at r = {r}, R = {R}")
 
 
 # -- explicit constants -------------------------------------------------------

@@ -277,6 +277,42 @@ def test_moments_runs(capsys):
     assert payload["exp_moment"]["mean"] >= 1.0
 
 
+def test_moments_golden(capsys):
+    """Both moments of the zero model over two batches and three slabs, as float.hex."""
+    args = ["moments", "--model", "zero", "--steps", "3000", "--samples", "2100", "--deterministic"]
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    got = [
+        float.hex(payload[k][f])
+        for k in ("exp_moment", "poly_moment")
+        for f in ("mean", "std_error")
+    ]
+    assert got == [
+        "0x1.f6e7fc2538ae5p+1",
+        "0x1.f869cb5eaa02bp-5",
+        "0x1.3ace26f990251p+0",
+        "0x1.6ce07575b1190p-7",
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag, value, what",
+    [
+        ("--c", "1000", "E[sup exp(c |W|^alpha)] at c = 1000.0, alpha = 1.0"),
+        ("--r", "2000", "E[sup |sigma W|^r] at r = 2000.0"),
+    ],
+)
+def test_moments_that_leave_the_floats_exit_2(flag, value, what, capsys):
+    """A mean of inf is no estimate, nor strict JSON: the run fails by name, without a warning."""
+    args = ["moments", "--model", "zero", "--steps", "64", "--samples", "64", "--deterministic"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"sdemod: estimator failure: {what} left the floats: mean = inf")
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--r", "nan"), ("--r", "inf"), ("--c", "nan"), ("--c", "inf")]
 )

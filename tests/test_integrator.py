@@ -92,7 +92,7 @@ def test_non_finite_start_is_rejected_before_the_first_step(value):
     p = sample_path(0, TimeGrid(1.0, 8), 1)
     with pytest.raises(ValueError, match="^x0s must be finite"):
         euler_solve_many(m, np.array([[0.5], [value]]), p)
-    with pytest.raises(ValueError, match="^x0s must be finite"):
+    with pytest.raises(ValueError, match="^x0 must be finite"):
         euler_solve(m, [value], p)
 
 

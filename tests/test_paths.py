@@ -9,14 +9,17 @@ standard errors.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sdemodulus import (
     BrownianPath,
+    EstimatorError,
     GridMismatchError,
     MCEstimate,
+    NormSpec,
     TimeGrid,
     catalog_model,
     derive_seed,
@@ -28,7 +31,7 @@ from sdemodulus import (
     substream,
     zero_path,
 )
-from sdemodulus.paths import brownian_sup_values
+from sdemodulus.paths import _abs_sup, brownian_slabs, brownian_sup_values
 
 
 # -- grids and paths ----------------------------------------------------------
@@ -75,9 +78,10 @@ def test_sup_values_take_the_path_of_sample_path():
     grid, m = TimeGrid(1.0, 3000), 2
     for seed in range(4):
         values = sample_path(seed, grid, m).values[None]
-        for node_value in (lambda w: np.exp(w[..., 0]), lambda w: np.exp(-w[..., 1])):
-            want = np.max(node_value(values))
-            assert brownian_sup_values(seed, grid, m, node_value, 2)[0] == want
+        for stat in (lambda w: np.exp(w[..., 0]), lambda w: np.exp(-w[..., 1])):
+            want = np.max(stat(values))
+            got = brownian_sup_values(seed, grid, m, lambda w: np.max(stat(w), axis=1), 2)
+            assert got[0] == want
 
 
 def test_zero_path():
@@ -289,6 +293,7 @@ def test_exp_moment_cross_resolution_consistency():
 
 
 def test_estimators_thread_invariant():
+    """Two batches on a pool, on the scalar and the general path, bitwise as on one thread."""
     g = TimeGrid(1.0, 128)
     a = estimate_poly_moment(1.0, np.eye(1), g, 1, 3000, seed=20, threads=1)
     b = estimate_poly_moment(1.0, np.eye(1), g, 1, 3000, seed=20, threads=8)
@@ -296,6 +301,70 @@ def test_estimators_thread_invariant():
     c = estimate_exp_moment(0.5, 1.0, g, 1, 3000, seed=21, threads=1)
     d = estimate_exp_moment(0.5, 1.0, g, 1, 3000, seed=21, threads=8)
     assert c == d
+    g = TimeGrid(1.0, 16)
+    for m, sigma in ((1, [[-2.5]]), (2, [[1.0, 0.5], [0.0, 2.0]])):
+        runs = [
+            (
+                estimate_exp_moment(0.5, 1.5, g, m, 2100, seed=22, threads=t),
+                estimate_poly_moment(1.5, sigma, g, m, 2100, seed=23, threads=t),
+            )
+            for t in (1, 2)
+        ]
+        assert runs[0] == runs[1]
+
+
+_SIGMAS = (1.0, -2.5, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("N", [1, 1024, 1025, 3000])
+def test_scalar_sup_is_the_node_sup_of_every_norm_bitwise(N):
+    """max(max W, -min W), scaled by |sigma|, is the node max of norm(W sigma^T), bitwise.
+
+    Sample 0 runs through both estimators on their own; sample 2048 is the
+    first of the second batch.
+    """
+    grid, seed = TimeGrid(1.0, N), 31
+    w0 = sample_path(seed, grid, 1).values
+    slabs = brownian_slabs([substream(seed, 2048)], grid, 1)
+    w2048 = np.concatenate([np.zeros((1, 1)), *(block[0] for block in slabs)])
+    sups = brownian_sup_values(seed, grid, 1, _abs_sup, 2049)
+    for kind in ("euclidean", "max", "one"):
+        norm = NormSpec(kind)
+        want = np.max(norm(w0))
+        got = estimate_exp_moment(0.7, 1.3, grid, 1, 1, seed, norm=norm).mean
+        assert got == float(np.exp(0.7 * want ** 1.3))
+        for s in _SIGMAS:
+            sigma = np.array([[s]])
+            want = np.max(norm(w0 @ sigma.T))
+            assert estimate_poly_moment(1.0, sigma, grid, 1, 1, seed, norm_state=norm).mean == want
+            assert abs(s) * sups[0] == want
+            assert abs(s) * sups[2048] == np.max(norm(w2048 @ sigma.T))
+
+
+def test_scalar_estimators_evaluate_no_norm(monkeypatch):
+    """For m = 1 both estimators take the sup from max and min, not from a norm per node."""
+
+    def boom(self, v):
+        raise AssertionError("a norm was evaluated")
+
+    monkeypatch.setattr(NormSpec, "__call__", boom)
+    g = TimeGrid(1.0, 1025)
+    assert estimate_exp_moment(1.0, 1.0, g, 1, 20, seed=3).mean > 1.0
+    assert estimate_poly_moment(1.0, [[2.0]], g, 1, 20, seed=4).mean > 0.0
+    with pytest.raises(AssertionError, match="a norm was evaluated"):
+        estimate_poly_moment(1.0, [[1.0, 0.0]], g, 2, 20, seed=4)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_moment_that_leaves_the_floats_raises(m):
+    """An infinite mean is a failed estimate, named with its parameters, and warns nothing."""
+    g = TimeGrid(1.0, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimatorError, match=r"^E\[sup exp\(c \|W\|\^alpha\)\] at c = 1000"):
+            estimate_exp_moment(1000.0, 1.0, g, m, 64, seed=1)
+        with pytest.raises(EstimatorError, match=r"^E\[sup \|sigma W\|\^r\] at r = 2000.0 left"):
+            estimate_poly_moment(2000.0, np.eye(m), g, m, 64, seed=2)
 
 
 def test_grid_sup_monotone_same_realization():

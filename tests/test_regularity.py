@@ -798,6 +798,41 @@ def test_verify_modulus_names_a_constant_that_left_the_floats(model, q, name):
             )
 
 
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (
+            lambda g: estimate_K(catalog_model("oscillatory1d", kappa=100.0), 1.5, 1.0, g, 16, 0,
+                                 x_grid_points=3),
+            r"K at q = 1\.0, R = 1\.5 left the floats: mean = inf",
+        ),
+        (
+            lambda g: moment_bound_check(catalog_model("ou_nd", d=2), 1.5, 1000.0, g, 16, 0,
+                                         x_grid_points=3),
+            r"E\[sup \|X\|\^r\] at r = 1000\.0, R = 1\.5 left the floats: mean = inf",
+        ),
+        (
+            lambda g: moment_bound_check(catalog_model("ou_nd", d=2), 1.5, 1000.0, g, 16, 0,
+                                         x_grid_points=3, sup_outside=True),
+            r"sup E\[\|X\|\^r\] at r = 1000\.0, R = 1\.5 left the floats: mean = inf",
+        ),
+        (
+            lambda g: moment_bound_check(catalog_model("ou_nd", d=2), 1.5, 330.0, g, 16, 0,
+                                         x_grid_points=3, sup_outside=True),
+            r"sup E\[\|X\|\^r\] at r = 330\.0, R = 1\.5 left the floats: mean = 1\.8.*e\+188, "
+            r"std_error = nan",
+        ),
+    ],
+    ids=["K", "sup-inside", "sup-outside", "spread-overflows"],
+)
+def test_lattice_moment_that_leaves_the_floats_raises(call, what):
+    """An infinite lattice moment, or error, is a failed estimate, named with its parameters."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimatorError, match=f"^{what}"):
+            call(TimeGrid(1.0, 16))
+
+
 def test_constants_overflow_to_inf():
     """Python float powers raise OverflowError; the constants report inf instead."""
     assert theoretical_constant(1.0, 200.0, 1.0).Kcal == math.inf
