@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import DivergenceError, GridMismatchError
 from .model import DriftModel, _points
-from .paths import BrownianPath, TimeGrid, _write_series, restrict
+from .paths import BrownianPath, TimeGrid, _check_noise, _write_series, restrict
 
 __all__ = [
     "SolutionPath",
@@ -80,44 +81,48 @@ def euler_solve(model: DriftModel, x0, path: BrownianPath) -> SolutionPath:
     return SolutionPath(path.grid, euler_solve_many(model, x0[None, :], path)[0], x0, path.seed)
 
 
-def _euler_steps(model: DriftModel, X: np.ndarray, dt: float, sigma_w):
+def _euler_steps(model: DriftModel, X: np.ndarray, dt: float, sigma_w, rows=None):
     """Yield (mu(X_n), X_{n+1}) from n = 0, one step per item sigma W(t_{n+1}) of ``sigma_w``.
 
     The package's one Euler step, in Z = X - sigma W: Z starts at X, since
     W(0) = 0, and gains dt mu(X_n) per step.  A non-finite z stays
     non-finite, whatever mu returns, so callers check finiteness once, after
-    the last step.
+    the last step.  With ``rows``, X_{n+1} is written into their n-th item;
+    without, each state is a new array.  Either first holds dt mu(X_n), so a
+    step needs no scratch array.  mu(X_n) is only read, since a drift may
+    return its input.
     """
     z = X.copy()
-    for sw in sigma_w:
+    for sw, row in zip(sigma_w, repeat(None) if rows is None else rows):
         mu = model.mu_batch(X)
-        z += dt * mu
-        X = z + sw
+        X = np.multiply(dt, mu, row)  # out given by position, a little cheaper per call
+        z += X
+        np.add(z, sw, X)
         yield mu, X
 
 
 def euler_solve_many(model: DriftModel, x0s: np.ndarray, path: BrownianPath) -> np.ndarray:
     """Euler states for a stack of initial values sharing one driving path.
 
-    Returns an array of shape (B, N+1, d).  All trajectories see the same
+    Returns an array of shape (B, N+1, d), a view of node-major storage, so
+    each step writes one contiguous row.  All trajectories see the same
     Brownian increments, which is the coupling used throughout the
     regularity estimates.
     """
-    if path.m != model.m:
-        raise GridMismatchError(f"path has m={path.m}, model expects m={model.m}")
+    _check_noise(model, path)
     x0s = _points(x0s, model.d, "x0s", stack=True)
     N = path.grid.N
-    out = np.empty((x0s.shape[0], N + 1, model.d))
-    out[:, 0, :] = x0s
+    out = np.empty((N + 1,) + x0s.shape)
+    out[0] = x0s
     sigw = path.values @ model.sigma.T  # (N+1, d)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, (_, X) in enumerate(_euler_steps(model, x0s, path.grid.dt, sigw[1:]), 1):
-            out[:, n, :] = X
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=(0, 2)))
+        for _ in _euler_steps(model, out[0], path.grid.dt, sigw[1:], out[1:]):
+            pass
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
     if len(bad):
         n = int(bad[0])
         raise DivergenceError(f"Euler state became non-finite at step {n} of {N}", step=n)
-    return out
+    return out.swapaxes(0, 1)
 
 
 def solve_adaptive(model: DriftModel, x0, fine_path: BrownianPath, tol: float) -> AdaptiveResult:
@@ -176,6 +181,9 @@ def verify_integral_equation(model: DriftModel, sol: SolutionPath, path: Brownia
     drifts; a corrupted state sticks out with a residual of the same size as
     the corruption.
     """
+    _check_noise(model, path)
+    if sol.d != model.d:
+        raise ValueError(f"solution dimension {sol.d} != model dimension {model.d}")
     if sol.grid != path.grid:
         raise GridMismatchError("solution and path live on different grids")
     f = model.mu_batch(sol.states)  # (N+1, d)

@@ -156,16 +156,28 @@ class DriftModel:
 
     def _batch(self, fn, x: np.ndarray, tail: tuple) -> np.ndarray:
         """fn on an (..., d) stack, shaped (...) + tail; row by row if fn does not broadcast."""
+        return self._shaped(fn, x, tail, fn(x))
+
+    def _shaped(self, fn, x: np.ndarray, tail: tuple, out) -> np.ndarray:
+        """``out = fn(x)`` as floats shaped (...) + tail, or fn row by row if ``out`` is not."""
         want = x.shape[:-1] + tail
-        out = np.asarray(fn(x), dtype=float)
+        out = np.asarray(out, dtype=float)
         if out.shape == want:
             return out
         rows = [np.asarray(fn(p), dtype=float).reshape(tail) for p in x.reshape(-1, self.d)]
         return np.stack(rows).reshape(want)
 
     def mu_batch(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate mu on an (..., d) stack of points."""
-        return self._batch(self.mu, x, (self.d,))
+        """Evaluate mu on an (..., d) stack of points, with one call of mu on the stack.
+
+        The step loops call this once per step, so its common case, a float
+        array of the stack's shape, as every catalog drift returns, is
+        returned as it is, in this one frame.
+        """
+        out = self.mu(x)
+        if type(out) is np.ndarray and out.dtype == np.float64 and out.shape == x.shape:
+            return out
+        return self._shaped(self.mu, x, (self.d,), out)
 
     def mu_jac_batch(self, x: np.ndarray) -> np.ndarray:
         """Evaluate mu_jac on an (..., d) stack of points, yielding (..., d, d)."""
@@ -415,7 +427,7 @@ def _negate(x):
 
 def _oscillatory(x):
     x = np.asarray(x, dtype=float)
-    return -x + np.sin(x * x)
+    return np.sin(x * x) - x  # bitwise -x + sin(x * x), one ufunc fewer
 
 
 def _cubic(x):

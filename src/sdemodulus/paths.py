@@ -155,10 +155,14 @@ def restrict(path: BrownianPath, coarse_N: int) -> BrownianPath:
     return BrownianPath(TimeGrid(path.grid.T, coarse_N), path.values[::stride], path.seed)
 
 
-def path_sup_stats(model: DriftModel, path: BrownianPath) -> PathSupStats:
-    """Node suprema sup_n |sigma W(t_n)| and sup_n phi(W(t_n)) for a model."""
+def _check_noise(model: DriftModel, path: BrownianPath) -> None:
     if path.m != model.m:
         raise GridMismatchError(f"path has m={path.m}, model expects m={model.m}")
+
+
+def path_sup_stats(model: DriftModel, path: BrownianPath) -> PathSupStats:
+    """Node suprema sup_n |sigma W(t_n)| and sup_n phi(W(t_n)) for a model."""
+    _check_noise(model, path)
     sup_sw = float(np.max(model.norm_state(path.values @ model.sigma.T)))
     sup_phi = float(np.max(model.phi_noise(path.values)))
     return PathSupStats(sup_sigma_w=sup_sw, sup_phi_w=sup_phi)

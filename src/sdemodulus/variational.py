@@ -88,9 +88,8 @@ def variational_solve(model: DriftModel, sol: SolutionPath, h) -> VariationalPat
     out = np.empty((N + 1,) + cur.shape)
     out[0] = cur
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(N):
-            cur = cur + dt * (jacs[n] @ cur)
-            out[n + 1] = cur
+        for jac, row in zip(jacs[:-1], out[1:]):
+            cur = np.add(cur, dt * (jac @ cur), out=row)
     return VariationalPath(sol.grid, out, h if isinstance(h, str) else out[0].copy())
 
 
@@ -144,6 +143,8 @@ def growth_bound_check(model: DriftModel, sol: SolutionPath, var: VariationalPat
     (with slack) and excluded from the reported margin.  In full mode every
     canonical basis column is checked.
     """
+    if not model.d == sol.d == var.d:
+        raise ValueError(f"model has d={model.d}, solution d={sol.d}, variational path d={var.d}")
     if sol.grid != var.grid:
         raise GridMismatchError("solution and variational path live on different grids")
     phis = model.phi_state(sol.states)  # (N+1,)

@@ -193,6 +193,35 @@ def test_check_bounds_passes(capsys):
     assert payload["diverged"] == 0
 
 
+_CHECK_BOUNDS_OSC1D = """\
+{
+  "apriori": {
+    "min_margin": 26.54468482299827,
+    "violations": 0
+  },
+  "diverged": 0,
+  "draws": 20,
+  "growth": {
+    "min_margin": 0.013604484645537207,
+    "violations": 0
+  },
+  "model": "oscillatory1d",
+  "pass": true,
+  "pathwise": {
+    "min_margin": 260.1992135916687,
+    "violations": 0
+  }
+}
+"""
+
+
+def test_check_bounds_output_is_golden(capsys):
+    """Twenty oscillatory1d draws print the same bytes: a cheaper step must not move one."""
+    args = ["check-bounds", "--model", "oscillatory1d", "--samples", "20", "--deterministic"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == _CHECK_BOUNDS_OSC1D
+
+
 def test_solve_json(capsys):
     code = main(
         ["solve", "--model", "linear1d", "--x0", "1.0", "--steps", "2048",

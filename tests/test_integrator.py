@@ -8,6 +8,7 @@ order-1 convergence shows as error halving when N doubles.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import math
 
@@ -16,6 +17,7 @@ import pytest
 
 from sdemodulus import (
     DivergenceError,
+    DriftModel,
     GridMismatchError,
     SolutionPath,
     TimeGrid,
@@ -76,6 +78,108 @@ def test_solve_many_matches_single():
     single = euler_solve(m, np.array([0.4]), p)
     batch = euler_solve_many(m, np.array([[0.4], [1.0]]), p)
     assert np.array_equal(single.states, batch[0])
+
+
+def _sha256(a) -> str:
+    return hashlib.sha256(np.asarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, d, seed, starts, golden",
+    [
+        ("oscillatory1d", None, 7, [[-2.0]],
+         "2b55a7cfc7340f40bb6d407643ce104b557771f4428e8f6cfc2ea88e28bb1a11"),
+        ("oscillatory1d", None, 7, np.linspace(-2.0, 2.0, 34)[:, None],
+         "30465c9d9a9f917f96c911ff91587647711e68e38bf3dd8a2d5538892136abcc"),
+        ("ou_nd", 2, 8, [[0.5, 0.0], [-1.0, 2.0], [3.0, -0.25]],
+         "b8821eb3b6997e2ea7b5468a1fd760f13750b68780b7cdb251f696b9f57987a6"),
+    ],
+    ids=["oscillatory1d-B1", "oscillatory1d-B34", "ou_nd-2-B3"],
+)
+def test_solve_many_golden_bytes(name, d, seed, starts, golden):
+    """Every state bit at N = 1024 repeats: a cheaper step must not move one."""
+    m = catalog_model(name, d=d)
+    states = euler_solve_many(m, starts, sample_path(seed, TimeGrid(1.0, 1024), m.m))
+    assert states.shape == (len(starts), 1025, m.d)
+    assert _sha256(states) == golden
+
+
+def _stepped(mu, x0s, path):
+    """The Euler recursion in Z = X - W, drift evaluated row by row: the reference states."""
+    X = np.asarray(x0s, dtype=float)
+    z = X.copy()
+    states = [X]
+    for w in path.values[1:]:
+        z = z + path.grid.dt * np.stack([np.asarray(mu(p), dtype=float).reshape(1) for p in X])
+        X = z + w
+        states.append(X)
+    return np.stack(states, axis=1)
+
+
+def _with_mu(mu):
+    return dataclasses.replace(catalog_model("linear1d"), mu=mu)
+
+
+_X0S = np.array([[0.5], [-1.25], [2.0]])
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        lambda x: x,  # returns its input: the step must not write into it
+        lambda x: (-np.asarray(x)).tolist(),
+        lambda x: np.floor(x).astype(np.int64),
+        lambda x: np.sin(x).astype(np.float32),
+    ],
+    ids=["input", "list", "int", "float32"],
+)
+def test_drift_of_any_array_like_gives_the_reference_states(mu):
+    m = _with_mu(mu)
+    got = m.mu_batch(_X0S)
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == _X0S.shape
+    p = sample_path(11, TimeGrid(1.0, 64), 1)
+    assert np.array_equal(euler_solve_many(m, _X0S, p), _stepped(mu, _X0S, p))
+
+
+def test_drift_that_does_not_broadcast_runs_row_by_row():
+    """A drift blind to the stack shape is called once on the stack, then once per row."""
+    calls = []
+
+    def mu(x):
+        calls.append(np.shape(x))
+        return np.array([np.sum(np.sin(x))])  # shape (1,) whatever the stack
+
+    p = sample_path(12, TimeGrid(1.0, 16), 1)
+    got = euler_solve_many(_with_mu(mu), _X0S, p)
+    assert calls == [(3, 1), (1,), (1,), (1,)] * 16
+    assert np.array_equal(got, _stepped(mu, _X0S, p))
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [lambda x: -np.asarray(x, dtype=float), lambda x: (-np.asarray(x)).tolist()],
+    ids=["float64", "list"],
+)
+def test_drift_runs_once_per_step_through_mu_batch(mu, monkeypatch):
+    """N calls of mu per N-step solve, each through ``DriftModel.mu_batch``, which tracers patch."""
+    seen = {"mu": 0, "mu_batch": 0}
+
+    def counted(x):
+        seen["mu"] += 1
+        return mu(x)
+
+    batch = DriftModel.mu_batch
+
+    def counted_batch(self, x):
+        seen["mu_batch"] += 1
+        return batch(self, x)
+
+    monkeypatch.setattr(DriftModel, "mu_batch", counted_batch)
+    N = 40
+    p = sample_path(13, TimeGrid(1.0, N), 1)
+    got = euler_solve_many(_with_mu(counted), _X0S, p)
+    assert seen == {"mu": N, "mu_batch": N}
+    assert np.array_equal(got, _stepped(mu, _X0S, p))
 
 
 def test_dimension_mismatch_rejected():
@@ -219,6 +323,18 @@ def test_residual_grid_mismatch():
     sol = euler_solve(m, np.array([1.0]), zero_path(TimeGrid(1.0, 64), 1))
     with pytest.raises(GridMismatchError):
         verify_integral_equation(m, sol, zero_path(TimeGrid(1.0, 32), 1))
+
+
+def test_residual_rejects_a_path_or_solution_of_another_dimension():
+    m = catalog_model("ou_nd", d=2)
+    p = sample_path(4, TimeGrid(1.0, 16), 2)
+    sol = euler_solve(m, np.array([1.0, -1.0]), p)
+    with pytest.raises(GridMismatchError, match="^path has m=3, model expects m=2$"):
+        verify_integral_equation(m, sol, sample_path(4, TimeGrid(1.0, 16), 3))
+    m3 = catalog_model("ou_nd", d=3)
+    sol3 = euler_solve(m3, np.array([1.0, -1.0, 0.5]), sample_path(4, TimeGrid(1.0, 16), 3))
+    with pytest.raises(ValueError, match="^solution dimension 3 != model dimension 2$"):
+        verify_integral_equation(m, sol3, p)
 
 
 # -- export ------------------------------------------------------------------------

@@ -8,6 +8,7 @@ discrete Euler map exactly, finite differences must agree to O(eps).
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 
@@ -52,6 +53,26 @@ def test_cubic_linearization_closed_form():
     sol = euler_solve(m, np.array([1.0]), zero_path(TimeGrid(1.0, 10_000), 1))
     var = variational_solve(m, sol, np.array([1.0]))
     assert abs(var.dirs[-1, 0] - 3.0 ** -1.5) <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "name, d, seed, x, h, golden",
+    [
+        ("oscillatory1d", None, 7, [0.7], [1.0],
+         "13a4d6278091862b0c309e8e9337143ad43062beec0e2eb98beb4c9a04d12e93"),
+        ("bounded_tanh", 2, 8, [0.3, -1.1], [0.6, 0.8],
+         "9cdb046a09a2fe03ec6506f13a184bd1faecee4b8f4a00b8d4f6b27e2b525617"),
+        ("bounded_tanh", 2, 8, [0.3, -1.1], FULL,
+         "eda417d3ec6e55a9da39f156607fe84250e7cf0f0188023554d02fa8a65b605d"),
+    ],
+    ids=["oscillatory1d", "bounded_tanh-2", "bounded_tanh-2-full"],
+)
+def test_variational_golden_bytes(name, d, seed, x, h, golden):
+    """Every derivative bit at N = 1024 repeats: a cheaper step must not move one."""
+    m = catalog_model(name, d=d)
+    sol = euler_solve(m, x, sample_path(seed, TimeGrid(1.0, 1024), m.m))
+    dirs = variational_solve(m, sol, h).dirs
+    assert hashlib.sha256(dirs.tobytes()).hexdigest() == golden
 
 
 def test_linearity_in_direction():
@@ -171,6 +192,17 @@ def test_growth_bound_full_mode():
     sol = euler_solve(m, np.array([0.5, -0.5]), sample_path(9, TimeGrid(1.0, 64), 2))
     chk = growth_bound_check(m, sol, variational_solve(m, sol, FULL))
     assert chk.ok
+
+
+def test_growth_bound_rejects_mismatched_dimensions():
+    m2, m3 = catalog_model("ou_nd", d=2), catalog_model("ou_nd", d=3)
+    sol = euler_solve(m3, np.array([0.5, -0.5, 1.0]), sample_path(9, TimeGrid(1.0, 16), 3))
+    var = variational_solve(m3, sol, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="^model has d=2, solution d=3, variational path d=3$"):
+        growth_bound_check(m2, sol, var)
+    sol2 = euler_solve(m2, np.array([0.5, -0.5]), sample_path(9, TimeGrid(1.0, 16), 2))
+    with pytest.raises(ValueError, match="^model has d=2, solution d=2, variational path d=3$"):
+        growth_bound_check(m2, sol2, var)
 
 
 def test_growth_bound_random_sweep():
