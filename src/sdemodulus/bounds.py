@@ -33,9 +33,9 @@ __all__ = [
 _REL_SLACK = 1e-12
 
 
-def _leq(lhs: float, rhs: float, rel: float = _REL_SLACK) -> bool:
+def _leq(lhs: float, rhs: float) -> bool:
     """lhs <= rhs with relative slack, safe for either sign of rhs."""
-    return lhs <= rhs + rel * (1.0 + abs(rhs))
+    return lhs <= rhs + _REL_SLACK * (1.0 + abs(rhs))
 
 
 def _pow1p(beta: float, n: int) -> float:

@@ -256,16 +256,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 # -- shared helpers -----------------------------------------------------------
 
 
-def _build_model(cfg: ExperimentConfig):
-    return catalog_model(
-        cfg.model,
-        d=cfg.d,
-        norm_state=cfg.norm_state,
-        norm_noise=cfg.norm_noise,
-        kappa=cfg.kappa,
-    )
-
-
 def _vector(cfg: ExperimentConfig, name: str, d: int, default: float) -> np.ndarray:
     """The d-vector option ``name``: ``default`` everywhere when unset, one value broadcast."""
     v = getattr(cfg, name)
@@ -319,10 +309,14 @@ def _emit(cfg: ExperimentConfig, payload: dict, csv_writer=None) -> None:
 
 
 # -- subcommands --------------------------------------------------------------
+#
+# A runner takes the config, the catalog model and (for the stepped
+# subcommands) the time grid, and returns ``(ok, payload, table)``: the
+# verdict, the report without its ``model`` key, and the CSV writer of its
+# natural table or None.  ``main`` builds the model and grid, emits, and exits.
 
 
-def _run_check_model(cfg: ExperimentConfig) -> int:
-    model = _build_model(cfg)
+def _run_check_model(cfg: ExperimentConfig, model, grid) -> tuple:
     tol = cfg.tol if cfg.tol is not None else 1e-4
     x_points = default_point_grid(model.d)
     z_points = default_point_grid(model.m)
@@ -332,8 +326,7 @@ def _run_check_model(cfg: ExperimentConfig) -> int:
     fd_jac = jacobian_fd_error(model, fd_pts)
     fd_grad = lyapunov_grad_fd_error(model, fd_pts)
     ok = growth.ok and lyap.ok and fd_jac <= tol and fd_grad <= tol
-    _emit(cfg, {
-        "model": model.name,
+    return ok, {
         "d": model.d,
         "m": model.m,
         "derivative_growth": growth.to_dict(),
@@ -342,16 +335,13 @@ def _run_check_model(cfg: ExperimentConfig) -> int:
         "fd_max_vgrad_error": fd_grad,
         "fd_tolerance": tol,
         "pass": ok,
-    })
-    return 0 if ok else 2
+    }, None
 
 
-def _run_check_bounds(cfg: ExperimentConfig) -> int:
-    model = _build_model(cfg)
-    grid = TimeGrid(cfg.T, cfg.steps)
+def _run_check_bounds(cfg: ExperimentConfig, model, grid) -> tuple:
     rng = np.random.default_rng(derive_seed(cfg.seed, 900_001))
-    apriori_bad = pathwise_bad = growth_bad = diverged = 0
-    apriori_margin = pathwise_margin = growth_margin = float("inf")
+    checks = {k: {"violations": 0, "min_margin": math.inf} for k in ("apriori", "pathwise", "growth")}
+    diverged = 0
     for i in range(cfg.samples):
         path = sample_path(derive_seed(cfg.seed, i), grid, model.m)
         xi = rng.uniform(-2.0, 2.0, model.d)
@@ -366,31 +356,21 @@ def _run_check_bounds(cfg: ExperimentConfig) -> int:
         except DivergenceError:
             diverged += 1
             continue
-        apriori_bad += not ap.ok
-        pathwise_bad += not pw.ok
-        growth_bad += not gb.ok
-        apriori_margin = min(apriori_margin, ap.bound - ap.sup_solution)
-        pathwise_margin = min(pathwise_margin, pw.rhs - pw.lhs)
-        growth_margin = min(growth_margin, gb.margin)
-    ok = apriori_bad == pathwise_bad == growth_bad == diverged == 0
-    _emit(cfg, {
-        "model": model.name,
-        "draws": cfg.samples,
-        "diverged": diverged,
-        "apriori": {"violations": apriori_bad, "min_margin": apriori_margin},
-        "pathwise": {"violations": pathwise_bad, "min_margin": pathwise_margin},
-        "growth": {"violations": growth_bad, "min_margin": growth_margin},
-        "pass": ok,
-    })
-    return 0 if ok else 2
+        for check, passed, margin in (
+            (checks["apriori"], ap.ok, ap.bound - ap.sup_solution),
+            (checks["pathwise"], pw.ok, pw.rhs - pw.lhs),
+            (checks["growth"], gb.ok, gb.margin),
+        ):
+            check["violations"] += not passed
+            check["min_margin"] = min(check["min_margin"], margin)
+    ok = diverged == 0 and all(check["violations"] == 0 for check in checks.values())
+    return ok, {"draws": cfg.samples, "diverged": diverged, **checks, "pass": ok}, None
 
 
-def _run_solve(cfg: ExperimentConfig) -> int:
-    model = _build_model(cfg)
-    grid = TimeGrid(cfg.T, cfg.steps)
+def _run_solve(cfg: ExperimentConfig, model, grid) -> tuple:
     path = sample_path(cfg.seed, grid, model.m)
     x0 = _vector(cfg, "x0", model.d, 0.0)
-    payload: dict = {"model": model.name, "T": cfg.T, "seed": cfg.seed, "x0": list(map(float, x0))}
+    payload: dict = {"T": cfg.T, "seed": cfg.seed, "x0": list(map(float, x0))}
     if cfg.tol is not None:
         res = solve_adaptive(model, x0, path, cfg.tol)
         sol = res.solution
@@ -403,13 +383,10 @@ def _run_solve(cfg: ExperimentConfig) -> int:
         sup_norm=float(np.max(model.norm_state(sol.states))),
         integral_residual=verify_integral_equation(model, sol, restrict(path, sol.grid.N)),
     )
-    _emit(cfg, payload, csv_writer=lambda fh: solution_to_csv(sol, fh))
-    return 0 if payload.get("converged", True) else 2
+    return payload.get("converged", True), payload, lambda fh: solution_to_csv(sol, fh)
 
 
-def _run_variational(cfg: ExperimentConfig) -> int:
-    model = _build_model(cfg)
-    grid = TimeGrid(cfg.T, cfg.steps)
+def _run_variational(cfg: ExperimentConfig, model, grid) -> tuple:
     path = sample_path(cfg.seed, grid, model.m)
     x0 = _vector(cfg, "x0", model.d, 0.0)
     h = _vector(cfg, "direction", model.d, 1.0)
@@ -419,8 +396,7 @@ def _run_variational(cfg: ExperimentConfig) -> int:
     gb = growth_bound_check(model, sol, var)
     fd = finite_difference_check(model, x0, h, path, eps=1e-5)
     ok = gb.ok and fd.max_discrepancy <= tol
-    _emit(cfg, {
-        "model": model.name,
+    return ok, {
         "T": cfg.T,
         "seed": cfg.seed,
         "x0": list(map(float, x0)),
@@ -432,13 +408,10 @@ def _run_variational(cfg: ExperimentConfig) -> int:
         "fd_eps": fd.eps,
         "fd_tolerance": tol,
         "pass": ok,
-    }, csv_writer=lambda fh: variational_to_csv(var, fh))
-    return 0 if ok else 2
+    }, lambda fh: variational_to_csv(var, fh)
 
 
-def _run_moments(cfg: ExperimentConfig) -> int:
-    model = _build_model(cfg)
-    grid = TimeGrid(cfg.T, cfg.steps)
+def _run_moments(cfg: ExperimentConfig, model, grid) -> tuple:
     exp_est = estimate_exp_moment(
         cfg.c, cfg.alpha, grid, model.m, cfg.samples, derive_seed(cfg.seed, 1),
         norm=model.norm_noise, threads=cfg.threads,
@@ -447,19 +420,15 @@ def _run_moments(cfg: ExperimentConfig) -> int:
         cfg.r, model.sigma, grid, model.m, cfg.samples, derive_seed(cfg.seed, 2),
         norm_state=model.norm_state, threads=cfg.threads,
     )
-    _emit(cfg, {
-        "model": model.name,
+    return True, {
         "T": cfg.T,
         "N": grid.N,
         "exp_moment": {"c": cfg.c, "alpha": cfg.alpha, **exp_est.to_dict()},
         "poly_moment": {"r": cfg.r, **poly_est.to_dict()},
-    })
-    return 0
+    }, None
 
 
-def _run_verify_modulus(cfg: ExperimentConfig) -> int:
-    model = _build_model(cfg)
-    grid = TimeGrid(cfg.T, cfg.steps)
+def _run_verify_modulus(cfg: ExperimentConfig, model, grid) -> tuple:
     report = verify_modulus(
         model,
         _vector(cfg, "x0", model.d, 0.0),
@@ -474,8 +443,7 @@ def _run_verify_modulus(cfg: ExperimentConfig) -> int:
         x_grid_points=cfg.lattice_points,
         threads=cfg.threads,
     )
-    _emit(cfg, report.to_dict(), csv_writer=report.write_csv)
-    return 0 if report.passed else 2
+    return report.passed, report.to_dict(), report.write_csv
 
 
 _RUNNERS = {
@@ -492,10 +460,21 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand is None:
+        cmd = args.subcommand
+        if cmd is None:
             raise UsageError("a subcommand is required (one of: " + ", ".join(_SUBCOMMANDS) + ")")
         cfg = _config_from_args(args)
-        return _RUNNERS[args.subcommand](cfg)
+        model = catalog_model(
+            cfg.model,
+            d=cfg.d,
+            norm_state=cfg.norm_state,
+            norm_noise=cfg.norm_noise,
+            kappa=cfg.kappa,
+        )
+        grid = TimeGrid(cfg.T, cfg.steps) if cmd in _STEPPED else None
+        ok, payload, table = _RUNNERS[cmd](cfg, model, grid)
+        _emit(cfg, {"model": model.name, **payload}, table)
+        return 0 if ok else 2
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return int(code) if isinstance(code, int) else 0

@@ -171,18 +171,13 @@ def path_sup_stats(model: DriftModel, path: BrownianPath) -> PathSupStats:
 # -- Monte Carlo machinery -------------------------------------------------
 
 
-def batch_ranges(n: int) -> list:
-    """The fixed batch plan [lo, hi) used by every estimator."""
-    return [(lo, min(lo + BATCH_SAMPLES, n)) for lo in range(0, n, BATCH_SAMPLES)]
-
-
 def map_batches(fn, n_samples: int, threads: int = 1) -> list:
-    """Run fn(lo, hi) over the batch plan, optionally on a thread pool.
+    """Run fn(lo, hi) over the fixed batch plan [lo, hi), optionally on a thread pool.
 
     Partial results come back in batch order regardless of which worker
     produced them, so downstream reductions are bitwise reproducible.
     """
-    ranges = batch_ranges(n_samples)
+    ranges = [(lo, min(lo + BATCH_SAMPLES, n_samples)) for lo in range(0, n_samples, BATCH_SAMPLES)]
     if threads <= 1 or len(ranges) <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import warnings
+from datetime import datetime
 
 import pytest
 
@@ -222,6 +223,36 @@ def test_check_bounds_output_is_golden(capsys):
     assert capsys.readouterr().out == _CHECK_BOUNDS_OSC1D
 
 
+_CHECK_BOUNDS_CUBIC_DIVERGENT = """\
+{
+  "apriori": {
+    "min_margin": 22097.308640195934,
+    "violations": 0
+  },
+  "diverged": 11,
+  "draws": 20,
+  "growth": {
+    "min_margin": 19.136126673889617,
+    "violations": 0
+  },
+  "model": "cubic_deterministic",
+  "pass": false,
+  "pathwise": {
+    "min_margin": 1528394606342199.5,
+    "violations": 0
+  }
+}
+"""
+
+
+def test_check_bounds_counts_divergent_draws_apart(capsys):
+    """11 of 20 cubic draws diverge by T = 10: the run fails, and only the other 9 set the margins."""
+    args = ["check-bounds", "--model", "cubic_deterministic", "--T", "10", "--steps", "10",
+            "--samples", "20", "--deterministic"]
+    assert main(args) == 2
+    assert capsys.readouterr().out == _CHECK_BOUNDS_CUBIC_DIVERGENT
+
+
 def test_solve_json(capsys):
     code = main(
         ["solve", "--model", "linear1d", "--x0", "1.0", "--steps", "2048",
@@ -322,6 +353,58 @@ def test_moments_golden(capsys):
         "0x1.3ace26f990251p+0",
         "0x1.6ce07575b1190p-7",
     ]
+
+
+_MOMENTS_CSV = """\
+key,value\r
+N,8\r
+T,1.0\r
+exp_moment.alpha,1.0\r
+exp_moment.c,1.0\r
+exp_moment.mean,1.9020191351093434\r
+exp_moment.n_samples,4\r
+exp_moment.seed,5836529245451711556\r
+exp_moment.std_error,0.3141626658936846\r
+model,zero\r
+poly_moment.mean,0.9827646416908279\r
+poly_moment.n_samples,4\r
+poly_moment.r,1.0\r
+poly_moment.seed,17195319236771816063\r
+poly_moment.std_error,0.35361284155970285\r
+"""
+
+
+def test_moments_csv_is_the_flattened_payload(capsys):
+    """A subcommand without a table writes sorted key,value rows, nested keys dotted."""
+    args = ["moments", "--model", "zero", "--steps", "8", "--samples", "4", "--format", "csv",
+            "--deterministic"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == _MOMENTS_CSV
+
+
+def test_generated_at_stamps_only_non_deterministic_json(capsys):
+    args = ["moments", "--model", "zero", "--steps", "8", "--samples", "4"]
+    assert main(args) == 0
+    stamp = json.loads(capsys.readouterr().out)["generated_at"]
+    assert datetime.fromisoformat(stamp).tzinfo is not None
+    assert main(args + ["--deterministic"]) == 0
+    assert "generated_at" not in json.loads(capsys.readouterr().out)
+    assert main(args + ["--format", "csv"]) == 0
+    assert "generated_at" not in capsys.readouterr().out
+
+
+def test_one_start_value_is_broadcast(capsys):
+    assert main(["solve", "--model", "ou_nd", "--d", "2", "--x0", "0.5", "--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["x0"] == [0.5, 0.5]
+
+
+def test_start_value_of_the_wrong_length_exits_1(capsys):
+    assert main(["solve", "--model", "ou_nd", "--d", "3", "--x0", "0.5,1", "--deterministic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "sdemod: error: x0 must have 3 components (or 1 to broadcast), got 2\n"
+    )
 
 
 @pytest.mark.parametrize(

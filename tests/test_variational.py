@@ -8,6 +8,7 @@ discrete Euler map exactly, finite differences must agree to O(eps).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -262,6 +263,18 @@ def test_pathwise_random_sweep():
             y = rng.uniform(-2.0, 2.0, m.d)
             res = pathwise_distance_bound(m, x, y, path, u_grid=33)
             assert res.ok, f"{name}: lhs {res.lhs} rhs {res.rhs}"
+
+
+def test_pathwise_failed_comparison_refines_the_segment_once():
+    """mu(x) = x with phi = 0: lhs = |x-y| (1 + dt)^N beats rhs = |x-y|, so the grid doubles."""
+    m = dataclasses.replace(
+        catalog_model("linear1d"), mu=lambda x: np.asarray(x, dtype=float), kappa=0.0
+    )
+    res = pathwise_distance_bound(m, 0.5, 0.25, zero_path(TimeGrid(1.0, 64), 1), u_grid=3)
+    assert res.u_grid_used == 5
+    assert res.ok is False
+    assert res.lhs == pytest.approx(0.25 * (1.0 + 1.0 / 64) ** 64, rel=1e-14)
+    assert res.rhs == 0.25
 
 
 def test_pathwise_u_grid_validation():
