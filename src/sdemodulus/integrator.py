@@ -90,7 +90,11 @@ def _euler_steps(model: DriftModel, X: np.ndarray, dt: float, sigma_w, rows=None
     the last step.  With ``rows``, X_{n+1} is written into their n-th item;
     without, each state is a new array.  Either first holds dt mu(X_n), so a
     step needs no scratch array.  mu(X_n) is only read, since a drift may
-    return its input.
+    return its input.  An ensemble's ``sigma_w`` items have X's shape: numpy
+    cannot merge the loop axes of an operand broadcast over a middle axis,
+    so with a short last axis (d = 2) the add runs one inner loop of length
+    d per row and takes about 5x as long as with a full contiguous operand.
+    ``euler_solve_many`` passes (d,) items, which its few rows broadcast.
     """
     z = X.copy()
     for sw, row in zip(sigma_w, repeat(None) if rows is None else rows):

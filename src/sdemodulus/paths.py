@@ -248,14 +248,10 @@ def _abs_sup(w: np.ndarray) -> np.ndarray:
 
 
 def _mc_from_samples(stats: np.ndarray, seed: int) -> MCEstimate:
+    """Mean and standard error of n >= 2 values; the error is inf if the mean is not finite."""
     n = len(stats)
     mean = float(np.mean(stats))
-    if n > 1 and math.isfinite(mean):
-        se = float(np.std(stats, ddof=1) / math.sqrt(n))
-    elif not math.isfinite(mean):
-        se = math.inf
-    else:
-        se = 0.0
+    se = float(np.std(stats, ddof=1) / math.sqrt(n)) if math.isfinite(mean) else math.inf
     return MCEstimate(mean=mean, std_error=se, n_samples=n, seed=int(seed))
 
 
@@ -290,8 +286,8 @@ def estimate_exp_moment(
         raise ValueError(f"c must be finite and >= 0, got {c}")
     if not (0.0 <= alpha < 2.0):
         raise ValueError(f"alpha must lie in [0, 2), got {alpha}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
     slab_sup = _abs_sup if m == 1 else lambda w: np.max(norm(w), axis=1)
     sups = brownian_sup_values(seed, grid, m, slab_sup, n_samples, threads)
     with np.errstate(over="ignore"):
@@ -315,8 +311,8 @@ def estimate_poly_moment(
     """
     if not 0.0 <= r < math.inf:
         raise ValueError(f"r must be finite and >= 0, got {r}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     if sigma.shape[1] != m:
         raise ValueError(f"sigma must have m = {m} columns, got shape {sigma.shape}")

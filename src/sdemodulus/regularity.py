@@ -167,7 +167,9 @@ def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):
     trajectories of sample i are driven by the path of ``substream(seed, i)``
     and advance by ``_euler_steps``, so sample 0 follows ``sample_path(seed)``
     bitwise.  ``reducer(X)`` builds a reducer from a batch's node-0 block X,
-    of shape (B,) + starts.shape.
+    of shape (B,) + starts.shape.  Each step's noise sigma W, of shape
+    (B, d), is repeated over the L starts into a contiguous array of X's
+    shape, as ``_euler_steps`` asks; the add stays elementwise, so bitwise.
 
     A sample is excluded whole iff its Z or its Delta left the floats.  Neither
     returns to the floats, so both are read once, after the last step; a check
@@ -179,13 +181,13 @@ def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     sig_t = model.sigma.T
-    noise_shape = (1,) * (starts.ndim - 1) + (model.d,)
+    n_starts = starts.size // model.d
 
     def run(indices):
         B = len(indices)
         gens = [substream(seed, int(i)) for i in indices]
         sigma_w = (
-            (w @ sig_t).reshape((B,) + noise_shape)
+            np.repeat(w @ sig_t, n_starts, axis=0).reshape((B,) + starts.shape)
             for block in brownian_slabs(gens, grid, model.m)
             for w in block.transpose(1, 0, 2)
         )

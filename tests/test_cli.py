@@ -436,6 +436,15 @@ def test_moments_non_finite_coefficient_exits_1(flag, value, capsys):
     assert f"{flag[2:]} must be" in captured.err
 
 
+def test_moments_single_sample_exits_1(capsys):
+    """One sample gives no error bar, so moments refuses it as verify-modulus does."""
+    args = ["moments", "--model", "zero", "--samples", "1", "--steps", "8", "--deterministic"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sdemod: error: n_samples must be >= 2\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_check_model_bad_slack_exits_1(value, capsys):
     args = ["check-model", "--model", "oscillatory1d", "--kappa", "0.5", "--deterministic"]

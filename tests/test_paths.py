@@ -249,6 +249,15 @@ def test_non_finite_moment_coefficient_is_rejected(value):
         estimate_poly_moment(value, np.eye(1), g, 1, 10, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_moment_needs_two_samples_for_an_error_bar(n):
+    g = TimeGrid(1.0, 8)
+    with pytest.raises(ValueError, match="^n_samples must be >= 2$"):
+        estimate_exp_moment(1.0, 1.0, g, 1, n, seed=0)
+    with pytest.raises(ValueError, match="^n_samples must be >= 2$"):
+        estimate_poly_moment(1.0, np.eye(1), g, 1, n, seed=0)
+
+
 def test_poly_moment_r_zero_exact():
     est = estimate_poly_moment(0.0, np.eye(1), TimeGrid(1.0, 16), 1, 50, seed=4)
     assert est.mean == 1.0
@@ -320,24 +329,28 @@ _SIGMAS = (1.0, -2.5, 0.0, 0.1)
 def test_scalar_sup_is_the_node_sup_of_every_norm_bitwise(N):
     """max(max W, -min W), scaled by |sigma|, is the node max of norm(W sigma^T), bitwise.
 
-    Sample 0 runs through both estimators on their own; sample 2048 is the
-    first of the second batch.
+    Samples 0 and 1 run through both estimators, so each mean is that of
+    their two sups; sample 2048 is the first of the second batch.
     """
     grid, seed = TimeGrid(1.0, N), 31
-    w0 = sample_path(seed, grid, 1).values
-    slabs = brownian_slabs([substream(seed, 2048)], grid, 1)
-    w2048 = np.concatenate([np.zeros((1, 1)), *(block[0] for block in slabs)])
+
+    def node_values(i):
+        slabs = brownian_slabs([substream(seed, i)], grid, 1)
+        return np.concatenate([np.zeros((1, 1)), *(block[0] for block in slabs)])
+
+    w0, w1, w2048 = sample_path(seed, grid, 1).values, node_values(1), node_values(2048)
     sups = brownian_sup_values(seed, grid, 1, _abs_sup, 2049)
     for kind in ("euclidean", "max", "one"):
         norm = NormSpec(kind)
-        want = np.max(norm(w0))
-        got = estimate_exp_moment(0.7, 1.3, grid, 1, 1, seed, norm=norm).mean
-        assert got == float(np.exp(0.7 * want ** 1.3))
+        want = np.array([np.max(norm(w)) for w in (w0, w1)])
+        got = estimate_exp_moment(0.7, 1.3, grid, 1, 2, seed, norm=norm).mean
+        assert got == float(np.mean(np.exp(0.7 * want ** 1.3)))
         for s in _SIGMAS:
             sigma = np.array([[s]])
-            want = np.max(norm(w0 @ sigma.T))
-            assert estimate_poly_moment(1.0, sigma, grid, 1, 1, seed, norm_state=norm).mean == want
-            assert abs(s) * sups[0] == want
+            want = np.array([np.max(norm(w @ sigma.T)) for w in (w0, w1)])
+            got = estimate_poly_moment(1.0, sigma, grid, 1, 2, seed, norm_state=norm).mean
+            assert got == float(np.mean(want))
+            assert abs(s) * sups[0] == want[0]
             assert abs(s) * sups[2048] == np.max(norm(w2048 @ sigma.T))
 
 

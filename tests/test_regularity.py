@@ -479,9 +479,18 @@ class _SampleZero(regularity._Reducer):
         self.out[k] = X[0]
 
 
+# every catalog sigma is noise * I with m == d; this one places 2-wide noise on 3-wide states
+_DENSE_TANH = dataclasses.replace(
+    catalog_model("bounded_tanh", d=3),
+    m=2,
+    sigma=np.array([[0.7, -0.3], [0.2, 1.1], [-0.5, 0.4]]),
+)
+
+
 @pytest.mark.parametrize(
-    "model", [catalog_model("oscillatory1d"), catalog_model("bounded_tanh", d=3)],
-    ids=["osc", "tanh3"],
+    "model",
+    [catalog_model("oscillatory1d"), catalog_model("bounded_tanh", d=3), _DENSE_TANH],
+    ids=["osc", "tanh3", "tanh3-dense-m2"],
 )
 def test_ensemble_sample_zero_is_euler_solve_many_on_sample_path(model):
     """One path and one Euler step: the kernel's sample 0 is the pathwise solver's, bitwise."""
@@ -492,6 +501,34 @@ def test_ensemble_sample_zero_is_euler_solve_many_on_sample_path(model):
     )
     want = euler_solve_many(model, lat, sample_path(seed, grid, model.m))
     assert np.array_equal(out.swapaxes(0, 1), want)
+
+
+def test_ensemble_noise_has_the_state_shape_and_is_contiguous(monkeypatch):
+    """Each step adds sigma W as a contiguous array of the state's shape, never a broadcast.
+
+    An operand broadcast over the starts makes the add of a lattice pass
+    several times slower at d = 2, with the same sums.
+    """
+    seen = []
+    euler_steps = regularity._euler_steps
+
+    def spy(model, X, dt, sigma_w, rows=None):
+        def items():
+            for sw in sigma_w:
+                seen.append((X.shape, sw.shape, sw.flags.c_contiguous))
+                yield sw
+
+        return euler_steps(model, X, dt, items(), rows)
+
+    monkeypatch.setattr(regularity, "_euler_steps", spy)
+    model, grid = catalog_model("ou_nd", d=2), TimeGrid(1.0, 8)
+    estimate_K(model, 0.5, 0.5, grid, 6, 1, x_grid_points=3)
+    lattice_items = len(seen)
+    estimate_distance(model, [0.5, 0.0], [0.4, 0.1], grid, 6, 2)
+    assert lattice_items == grid.N and len(seen) == 2 * grid.N
+    assert seen[0][0] == (6, len(ball_lattice(model, 1.5, 3)), 2)
+    assert seen[-1][0] == (6, 2)
+    assert all(x_shape == sw_shape and contiguous for x_shape, sw_shape, contiguous in seen)
 
 
 class _States(regularity._Reducer):
