@@ -250,6 +250,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     overrides = {k: v for k, v in vars(args).items() if k in _OPTIONS and v is not None}
     cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()
+    if args.subcommand in ("moments", "verify-modulus") and cfg.samples < 2:
+        raise UsageError(f"samples must be >= 2, got {cfg.samples}")
     return cfg
 
 
@@ -349,8 +351,9 @@ def _run_check_bounds(cfg: ExperimentConfig, model, grid) -> tuple:
         h = rng.standard_normal(model.d)
         h /= float(model.norm_state(h)) or 1.0
         try:
-            ap = apriori_bound(model, xi, path)
+            # The [xi, segment] batch solves xi first; the path remembers it for the other two.
             pw = pathwise_distance_bound(model, xi, y, path, u_grid=cfg.u_grid)
+            ap = apriori_bound(model, xi, path)
             sol = euler_solve(model, xi, path)
             gb = growth_bound_check(model, sol, variational_solve(model, sol, h))
         except DivergenceError:

@@ -108,25 +108,40 @@ def _euler_steps(model: DriftModel, X: np.ndarray, dt: float, sigma_w, rows=None
 def euler_solve_many(model: DriftModel, x0s: np.ndarray, path: BrownianPath) -> np.ndarray:
     """Euler states for a stack of initial values sharing one driving path.
 
-    Returns an array of shape (B, N+1, d), a view of node-major storage, so
-    each step writes one contiguous row.  All trajectories see the same
+    Returns a new array of shape (B, N+1, d).  All trajectories see the same
     Brownian increments, which is the coupling used throughout the
     regularity estimates.
+
+    The path remembers every row it has driven, keyed by the model object
+    and the start's bytes, and holds the model so that its id is not reused.
+    Only the starts it has not seen step, each once, in one node-major batch
+    (each step writes one contiguous row); the others are copied.  That is
+    bitwise, since a row reads only itself and sigma W: with a drift that
+    maps each point alone, as every catalog drift does, a row's floats do
+    not depend on its batch.  A batch is remembered only once all its states
+    are finite, so a divergent start steps, and raises at the same step, on
+    every call.
     """
     _check_noise(model, path)
     x0s = _points(x0s, model.d, "x0s", stack=True)
-    N = path.grid.N
-    out = np.empty((N + 1,) + x0s.shape)
-    out[0] = x0s
-    sigw = path.values @ model.sigma.T  # (N+1, d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in _euler_steps(model, out[0], path.grid.dt, sigw[1:], out[1:]):
-            pass
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
-    if len(bad):
-        n = int(bad[0])
-        raise DivergenceError(f"Euler state became non-finite at step {n} of {N}", step=n)
-    return out.swapaxes(0, 1)
+    keys = [(id(model), x0.tobytes()) for x0 in x0s]
+    solved = path._solved
+    new = {k: x0 for k, x0 in zip(keys, x0s) if k not in solved}
+    if new:
+        N = path.grid.N
+        out = np.empty((N + 1, len(new), model.d))
+        out[0] = list(new.values())
+        sigw = path.values @ model.sigma.T  # (N+1, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in _euler_steps(model, out[0], path.grid.dt, sigw[1:], out[1:]):
+                pass
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
+        if len(bad):
+            n = int(bad[0])
+            raise DivergenceError(f"Euler state became non-finite at step {n} of {N}", step=n)
+        out.setflags(write=False)
+        solved.update((k, (model, states)) for k, states in zip(new, out.swapaxes(0, 1)))
+    return np.stack([solved[k][1] for k in keys])
 
 
 def solve_adaptive(model: DriftModel, x0, fine_path: BrownianPath, tol: float) -> AdaptiveResult:

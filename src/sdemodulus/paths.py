@@ -89,6 +89,9 @@ class BrownianPath:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        # Not a field, so equality, repr and replace ignore it: the Euler rows
+        # this path has driven, filled and read by integrator.euler_solve_many.
+        object.__setattr__(self, "_solved", {})
 
     @property
     def m(self) -> int:

@@ -183,11 +183,15 @@ def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):
     sig_t = model.sigma.T
     n_starts = starts.size // model.d
 
+    def noise(w):  # np.repeat copies even by a factor of 1, so one start skips it
+        sw = w @ sig_t
+        return np.repeat(sw, n_starts, axis=0) if n_starts > 1 else sw
+
     def run(indices):
         B = len(indices)
         gens = [substream(seed, int(i)) for i in indices]
         sigma_w = (
-            np.repeat(w @ sig_t, n_starts, axis=0).reshape((B,) + starts.shape)
+            noise(w).reshape((B,) + starts.shape)
             for block in brownian_slabs(gens, grid, model.m)
             for w in block.transpose(1, 0, 2)
         )

@@ -15,6 +15,7 @@ from datetime import datetime
 
 import pytest
 
+from sdemodulus import DriftModel
 from sdemodulus.cli import (
     ExperimentConfig,
     UsageError,
@@ -221,6 +222,17 @@ def test_check_bounds_output_is_golden(capsys):
     args = ["check-bounds", "--model", "oscillatory1d", "--samples", "20", "--deterministic"]
     assert main(args) == 0
     assert capsys.readouterr().out == _CHECK_BOUNDS_OSC1D
+
+
+def test_check_bounds_runs_one_euler_loop_per_draw(monkeypatch, capsys):
+    """The pathwise bound's batch solves xi; the a priori bound and the growth check reuse it."""
+    calls = []
+    batch = DriftModel.mu_batch
+    monkeypatch.setattr(DriftModel, "mu_batch", lambda self, x: calls.append(1) or batch(self, x))
+    args = ["check-bounds", "--model", "oscillatory1d", "--samples", "3", "--steps", "16"]
+    assert main(args + ["--deterministic"]) == 0
+    assert len(calls) == 3 * 16
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 _CHECK_BOUNDS_CUBIC_DIVERGENT = """\
@@ -437,12 +449,23 @@ def test_moments_non_finite_coefficient_exits_1(flag, value, capsys):
 
 
 def test_moments_single_sample_exits_1(capsys):
-    """One sample gives no error bar, so moments refuses it as verify-modulus does."""
+    """One sample gives no error bar, so moments refuses it, naming the flag."""
     args = ["moments", "--model", "zero", "--samples", "1", "--steps", "8", "--deterministic"]
     assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "sdemod: error: n_samples must be >= 2\n"
+    assert captured.err == "sdemod: error: samples must be >= 2, got 1\n"
+
+
+def test_verify_modulus_single_sample_exits_1_and_check_bounds_takes_one_draw(capsys):
+    """verify-modulus needs two samples for an error bar; one check-bounds draw is a sweep."""
+    args = ["--model", "zero", "--samples", "1", "--steps", "8", "--deterministic"]
+    assert main(["verify-modulus"] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sdemod: error: samples must be >= 2, got 1\n"
+    assert main(["check-bounds"] + args) == 0
+    assert json.loads(capsys.readouterr().out)["draws"] == 1
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

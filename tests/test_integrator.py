@@ -21,9 +21,12 @@ from sdemodulus import (
     GridMismatchError,
     SolutionPath,
     TimeGrid,
+    apriori_bound,
     catalog_model,
+    catalog_names,
     euler_solve,
     euler_solve_many,
+    pathwise_distance_bound,
     restrict,
     sample_path,
     solution_to_csv,
@@ -74,10 +77,107 @@ def test_zero_drift_exact():
 
 def test_solve_many_matches_single():
     m = catalog_model("oscillatory1d")
-    p = sample_path(3, TimeGrid(1.0, 128), 1)
-    single = euler_solve(m, np.array([0.4]), p)
-    batch = euler_solve_many(m, np.array([[0.4], [1.0]]), p)
+    g = TimeGrid(1.0, 128)
+    single = euler_solve(m, np.array([0.4]), sample_path(3, g, 1))
+    batch = euler_solve_many(m, np.array([[0.4], [1.0]]), sample_path(3, g, 1))
     assert np.array_equal(single.states, batch[0])
+
+
+# -- the rows a path remembers ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, d", [(n, None) for n in catalog_names()] + [
+    ("zero", 3), ("ou_nd", 3), ("bounded_tanh", 5),
+])
+def test_every_row_of_a_batch_is_its_own_solve_bitwise(name, d):
+    """A path may hand out a row solved in another batch only if rows are batch-free."""
+    m = catalog_model(name, d=d)
+    g = TimeGrid(1.0, 64)
+    x0s = np.random.default_rng(5).uniform(-2.0, 2.0, (11, m.d))
+    batch = euler_solve_many(m, x0s, sample_path(31, g, m.m))
+    for x0, states in zip(x0s, batch):
+        assert np.array_equal(euler_solve(m, x0, sample_path(31, g, m.m)).states, states)
+
+
+def _count_mu_batch(monkeypatch) -> list:
+    """Patch ``DriftModel.mu_batch`` to record the stack shape of every call."""
+    calls = []
+    batch = DriftModel.mu_batch
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return batch(self, x)
+
+    monkeypatch.setattr(DriftModel, "mu_batch", counted)
+    return calls
+
+
+def test_a_check_bounds_draw_solves_xi_once(monkeypatch):
+    """apriori, pathwise, solve: 2N drift calls; pathwise first, as the CLI runs them: N."""
+    m = catalog_model("oscillatory1d")
+    g = TimeGrid(1.0, 32)
+    xi, y = np.array([0.7]), np.array([-1.2])
+    calls = _count_mu_batch(monkeypatch)
+    for order, want in (((0, 1, 2), 2 * g.N), ((1, 0, 2), g.N)):
+        path = sample_path(41, g, 1)
+        steps = (
+            lambda: apriori_bound(m, xi, path),
+            lambda: pathwise_distance_bound(m, xi, y, path, u_grid=5),
+            lambda: euler_solve(m, xi, path),
+        )
+        calls.clear()
+        results = [steps[i]() for i in order]
+        assert len(calls) == want
+        assert results[order.index(1)].u_grid_used == 5  # no refine, which solves its own grid
+        fresh = euler_solve(m, xi, sample_path(41, g, 1))
+        assert np.array_equal(results[order.index(2)].states, fresh.states)
+
+
+def test_another_model_object_or_path_object_solves_again(monkeypatch):
+    m = catalog_model("oscillatory1d")
+    g = TimeGrid(1.0, 16)
+    path = sample_path(42, g, 1)
+    first = euler_solve_many(m, [[0.3], [1.1]], path)
+    calls = _count_mu_batch(monkeypatch)
+    assert np.array_equal(euler_solve_many(m, [[1.1], [0.3], [1.1]], path), first[[1, 0, 1]])
+    assert calls == []
+    twin = dataclasses.replace(m)
+    assert np.array_equal(euler_solve_many(twin, [[0.3]], path), first[:1])
+    assert calls == [(1, 1)] * g.N
+    calls.clear()
+    assert np.array_equal(euler_solve_many(m, [[0.3]], sample_path(42, g, 1)), first[:1])
+    assert calls == [(1, 1)] * g.N
+
+
+def test_a_returned_array_is_the_callers_own():
+    m = catalog_model("ou_nd", d=2)
+    path = sample_path(43, TimeGrid(1.0, 16), 2)
+    starts = [[0.5, -1.0], [2.0, 0.25]]
+    first = euler_solve_many(m, starts, path)
+    kept = first.copy()
+    assert first.flags.writeable
+    first[:] = np.nan
+    again = euler_solve_many(m, starts, path)
+    assert np.array_equal(again, kept)
+    again[0, 3] = 0.0
+    assert np.array_equal(euler_solve(m, starts[0], path).states, kept[0])
+
+
+def test_a_divergent_start_is_not_remembered(monkeypatch):
+    """A batch with a divergent row stores nothing, so each call steps and raises alike."""
+    m = catalog_model("cubic_deterministic")
+    path = zero_path(TimeGrid(1.0, 4), 1)
+    calls = _count_mu_batch(monkeypatch)
+    steps = []
+    for _ in range(2):
+        with pytest.raises(DivergenceError) as exc:
+            euler_solve_many(m, [[0.5], [1e5]], path)
+        steps.append(exc.value.step)
+    assert steps[0] == steps[1] and 1 <= steps[0] <= 4
+    assert calls == [(2, 1)] * (2 * path.grid.N)
+    calls.clear()
+    euler_solve(m, [0.5], path)
+    assert calls == [(1, 1)] * path.grid.N
 
 
 def _sha256(a) -> str:
