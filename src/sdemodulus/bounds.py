@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import euler_solve
-from .model import DriftModel, _points
+from .model import DriftModel, _points, _scalar
 from .paths import BrownianPath, path_sup_stats
 
 __all__ = [
@@ -59,10 +59,9 @@ def discrete_gronwall_bound(alpha: float, beta: float, n: int) -> tuple:
     The first never exceeds the second: (1+beta)^n <= e^(beta n) for beta >= 0,
     and a negative alpha only helps the first.
     """
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ValueError("alpha and beta must be finite")
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    _scalar("beta", beta)
     if n < 0 or int(n) != n:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
     return alpha * _pow1p(beta, n), abs(alpha) * _exp(beta * n)
@@ -83,10 +82,9 @@ def discrete_gronwall_check(f, alpha: float, beta: float) -> GronwallCheck:
     both flags are always computed so the implication itself can be swept.
     Entries of +inf are legal inputs; NaN is rejected.
     """
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ValueError("alpha and beta must be finite")
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    _scalar("beta", beta)
     f = [float(v) for v in f]
     if any(math.isnan(v) for v in f):
         raise ValueError("sequence entries must not be NaN")
@@ -110,8 +108,7 @@ class PowerSumBound:
 
 def power_sum_bound(beta: float, a) -> PowerSumBound:
     """|sum a_i|^beta <= m^max(0, beta-1) * sum |a_i|^beta for m terms."""
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    _scalar("beta", beta)
     a = np.asarray(a, dtype=float).ravel()
     if a.size == 0:
         raise ValueError("the sequence must be nonempty")
@@ -133,8 +130,7 @@ def log_monotone_check(q: float, a: float, b: float) -> bool:
     Requires q > 0 and e^q <= a <= b; arguments below e^q (where the function
     is not monotone) are a precondition error, not a False.
     """
-    if q <= 0.0:
-        raise ValueError(f"q must be positive, got {q}")
+    _scalar("q", q, positive=True)
     lo = math.exp(q)
     if not (a >= lo * (1.0 - 1e-12)):
         raise ValueError(f"a must be >= e^q = {lo}, got {a}")
@@ -145,8 +141,7 @@ def log_monotone_check(q: float, a: float, b: float) -> bool:
 
 def log_monotone_shifted_check(q: float, a: float, b: float) -> bool:
     """Variant for arguments >= 1: compares (e^q a)^2/|ln(e^q a)|^(2q) at a and b."""
-    if q <= 0.0:
-        raise ValueError(f"q must be positive, got {q}")
+    _scalar("q", q, positive=True)
     if not (1.0 - 1e-12 <= a <= b):
         raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
     scale = math.exp(q)

@@ -30,6 +30,7 @@ from .bounds import apriori_bound
 from .errors import CatalogError, DivergenceError, EstimatorError
 from .integrator import euler_solve, solution_to_csv, solve_adaptive, verify_integral_equation
 from .model import (
+    _scalar,
     catalog_model,
     check_derivative_growth,
     check_lyapunov,
@@ -151,8 +152,7 @@ class ExperimentConfig:
             raise UsageError("a model name is required (--model or `model` in the config file)")
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
-        if self.T < 0.0:
-            raise UsageError(f"T must be >= 0, got {self.T}")
+        _scalar("T", self.T)
         if self.steps < 1:
             raise UsageError(f"steps must be >= 1, got {self.steps}")
         if self.samples < 1:
@@ -161,8 +161,8 @@ class ExperimentConfig:
             raise UsageError(f"threads must be >= 1, got {self.threads}")
         if self.u_grid < 2:
             raise UsageError(f"u_grid must be >= 2, got {self.u_grid}")
-        if self.tol is not None and not 0.0 < self.tol < math.inf:
-            raise UsageError(f"tol must be finite and positive, got {self.tol}")
+        if self.tol is not None:
+            _scalar("tol", self.tol, positive=True)
 
     @classmethod
     def from_ini(cls, text: str, source: str = "<config>") -> "ExperimentConfig":

@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DivergenceError, GridMismatchError
-from .model import DriftModel, _points
+from .model import DriftModel, _points, _scalar
 from .paths import BrownianPath, TimeGrid, _check_noise, _write_series, restrict
 
 __all__ = [
@@ -154,8 +154,7 @@ def solve_adaptive(model: DriftModel, x0, fine_path: BrownianPath, tol: float) -
     solution is returned flagged unconverged.  A divergent intermediate
     level counts as an infinite distance rather than aborting.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _scalar("tol", tol, positive=True)
     N_fine = fine_path.grid.N
     base = N_fine
     while base % 2 == 0:

@@ -97,6 +97,14 @@ def _points(x, d: int, name: str, stack: bool = False) -> np.ndarray:
     return x
 
 
+def _scalar(name: str, value, positive: bool = False):
+    """``value`` if 0 <= value < inf, or 0 < value < inf with ``positive``; NaN fails both."""
+    if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
+        rule = "positive" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {rule}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class LyapunovSpec:
     """Lyapunov function V with gradient, and the noise-side growth function phi.
@@ -114,8 +122,7 @@ class LyapunovSpec:
     def __post_init__(self):
         if not (0.0 <= self.phi_alpha < 2.0):
             raise ValueError(f"phi_alpha must lie in [0, 2), got {self.phi_alpha}")
-        if not 0.0 <= self.phi_kappa < math.inf:
-            raise ValueError(f"phi_kappa must be finite and nonnegative, got {self.phi_kappa}")
+        _scalar("phi_kappa", self.phi_kappa)
 
 
 @dataclass(frozen=True)
@@ -138,8 +145,7 @@ class DriftModel:
         if sigma.shape != (self.d, self.m):
             raise ValueError(f"sigma must have shape ({self.d}, {self.m}), got {sigma.shape}")
         object.__setattr__(self, "sigma", sigma)
-        if not 0.0 <= self.kappa < math.inf:
-            raise ValueError(f"kappa must be finite and nonnegative, got {self.kappa}")
+        _scalar("kappa", self.kappa)
 
     # -- growth functions ------------------------------------------------
 
@@ -248,8 +254,7 @@ def check_derivative_growth(
     ``seed``, so violations are reproducible.  Both sides scale linearly in
     h, hence unit directions lose no generality.
     """
-    if not 0.0 <= slack < math.inf:  # a NaN or inf slack would pass any ratio
-        raise ValueError(f"slack must be finite and >= 0, got {slack}")
+    _scalar("slack", slack)  # a NaN or inf slack would pass any ratio
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != model.d:
         raise ValueError(f"points must have last axis {model.d}, got shape {pts.shape}")
@@ -285,8 +290,7 @@ def check_lyapunov(
     ``z_points``; evaluation is batched in chunks so vectorized models stay
     fast for grids with millions of pairs.
     """
-    if not 0.0 <= slack < math.inf:
-        raise ValueError(f"slack must be finite and >= 0, got {slack}")
+    _scalar("slack", slack)
     xs = np.atleast_2d(np.asarray(x_points, dtype=float))
     zs = np.atleast_2d(np.asarray(z_points, dtype=float))
     if xs.shape[-1] != model.d:

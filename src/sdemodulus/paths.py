@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import EstimatorError, GridMismatchError
-from .model import EUCLIDEAN, DriftModel, NormSpec
+from .model import EUCLIDEAN, DriftModel, NormSpec, _scalar
 
 __all__ = [
     "TimeGrid",
@@ -51,8 +51,7 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if not (self.T >= 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"T must be finite and >= 0, got {self.T}")
+        _scalar("T", self.T)
         if int(self.N) != self.N or self.N < 1:
             raise ValueError(f"N must be an integer >= 1, got {self.N}")
         object.__setattr__(self, "N", int(self.N))
@@ -177,9 +176,12 @@ def path_sup_stats(model: DriftModel, path: BrownianPath) -> PathSupStats:
 def map_batches(fn, n_samples: int, threads: int = 1) -> list:
     """Run fn(lo, hi) over the fixed batch plan [lo, hi), optionally on a thread pool.
 
+    ``n_samples`` must be >= 2 (one sample has no standard error); it is checked before fn runs.
     Partial results come back in batch order regardless of which worker
     produced them, so downstream reductions are bitwise reproducible.
     """
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
     ranges = [(lo, min(lo + BATCH_SAMPLES, n_samples)) for lo in range(0, n_samples, BATCH_SAMPLES)]
     if threads <= 1 or len(ranges) <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
@@ -285,12 +287,9 @@ def estimate_exp_moment(
     with M the node sup of |W|; that is what each sample evaluates.  Raises
     EstimatorError if the mean or its standard error leaves the floats.
     """
-    if not 0.0 <= c < math.inf:
-        raise ValueError(f"c must be finite and >= 0, got {c}")
+    _scalar("c", c)
     if not (0.0 <= alpha < 2.0):
         raise ValueError(f"alpha must lie in [0, 2), got {alpha}")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
     slab_sup = _abs_sup if m == 1 else lambda w: np.max(norm(w), axis=1)
     sups = brownian_sup_values(seed, grid, m, slab_sup, n_samples, threads)
     with np.errstate(over="ignore"):
@@ -312,10 +311,7 @@ def estimate_poly_moment(
 
     Raises EstimatorError if the mean or its standard error leaves the floats.
     """
-    if not 0.0 <= r < math.inf:
-        raise ValueError(f"r must be finite and >= 0, got {r}")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    _scalar("r", r)
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     if sigma.shape[1] != m:
         raise ValueError(f"sigma must have m = {m} columns, got shape {sigma.shape}")

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import EstimatorError
 from .integrator import _euler_steps
-from .model import DriftModel, _points
+from .model import DriftModel, _points, _scalar
 from .paths import (
     MCEstimate,
     TimeGrid,
@@ -178,8 +178,6 @@ def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):
     samples' substreams, which repeat their trajectories, so no node history
     is kept.  Returns the included count and, in batch order, each batch's ``out``.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
     sig_t = model.sigma.T
     n_starts = starts.size // model.d
 
@@ -388,8 +386,7 @@ def ball_lattice(model: DriftModel, radius: float, points_per_axis: int) -> np.n
 
 def _lattice_pass(model, R, x_grid_points, lattice, grid, seed, n_samples, threads, stats, what):
     """One ensemble over the start lattice: summed node stats of |X|, and each sample's max |X|."""
-    if not 0.0 <= R < math.inf:
-        raise ValueError(f"R must be finite and >= 0, got {R}")
+    _scalar("R", R)
     if lattice is None:
         lattice = ball_lattice(model, R + 1.0, x_grid_points)
     lattice = _points(lattice, model.d, "lattice", stack=True)
@@ -435,10 +432,8 @@ def estimate_K(
     under-estimates the ball sup, the result (mean and error alike) is
     scaled by ``safety``.  Raises EstimatorError if it leaves the floats.
     """
-    if not 0.0 <= q < math.inf:
-        raise ValueError(f"q must be finite and >= 0, got {q}")
-    if not 0.0 < safety < math.inf:
-        raise ValueError(f"safety must be finite and positive, got {safety}")
+    _scalar("q", q)
+    _scalar("safety", safety, positive=True)
     _, _, top = _lattice_pass(
         model, R, x_grid_points, lattice, grid, seed, n_samples, threads,
         lambda v, v0: (), "estimate_K",
@@ -470,8 +465,7 @@ def moment_bound_check(
     error is that of the argmax pair.  Raises EstimatorError if the mean or
     its standard error leaves the floats.
     """
-    if not 0.0 <= r < math.inf:
-        raise ValueError(f"r must be finite and >= 0, got {r}")
+    _scalar("r", r)
 
     def moments(v, v0):
         return _mean_and_spread(v ** r, v0 ** r) if sup_outside else ()
@@ -504,12 +498,10 @@ def theoretical_constant(K: float, q: float, T: float) -> ModulusConstants:
     c_local = 2 sqrt((1 + 4K) Kcal), giving
     sup_t E |X^(x+h) - X^x| <= c_local |ln |h||^(-q) for 0 < |h| < 1; Kcal is inf on overflow.
     """
-    if K < 0.0:
+    if not K >= 0.0:  # K = inf gives Kcal = inf, which RegularityConstants names
         raise ValueError(f"K must be >= 0, got {K}")
-    if q < 0.0:
-        raise ValueError(f"q must be >= 0, got {q}")
-    if T < 0.0:
-        raise ValueError(f"T must be >= 0, got {T}")
+    _scalar("q", q)
+    _scalar("T", T)
     expo = 4.0 * q + 4.0
     try:
         kcal = 1.0 + 2.0 ** expo * (abs(math.log(2.0 + math.exp(q))) ** expo + T ** expo * K)
@@ -520,8 +512,11 @@ def theoretical_constant(K: float, q: float, T: float) -> ModulusConstants:
 
 def global_bound_constant(c_local: float, C: float, R: float, q: float) -> float:
     """max(c_local, 2 C |ln(2R+1)|^q), or inf on overflow: the constant for all separations != 1."""
-    if c_local < 0.0 or C < 0.0 or R < 0.0 or q < 0.0:
-        raise ValueError("c_local, C, R, q must all be >= 0")
+    for name, value in (("c_local", c_local), ("C", C)):
+        if not value >= 0.0:  # inf passes, as in theoretical_constant
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    _scalar("R", R)
+    _scalar("q", q)
     try:
         return max(c_local, 2.0 * C * abs(math.log(2.0 * R + 1.0)) ** q)
     except OverflowError:
@@ -654,12 +649,8 @@ def verify_modulus(
         raise ValueError("ladder entries must lie strictly inside (0, 1)")
     if any(a <= b for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly decreasing")
-    if not 0.0 < q < math.inf:
-        raise ValueError(f"q must be finite and positive, got {q}")
-    if not 0.0 < R < math.inf:
-        raise ValueError(f"R must be finite and positive, got {R}")
-    if not 0.0 < safety < math.inf:
-        raise ValueError(f"safety must be finite and positive, got {safety}")
+    for name, value in (("q", q), ("R", R), ("safety", safety)):
+        _scalar(name, value, positive=True)
     if x_grid_points < 1:
         raise ValueError(f"x_grid_points must be >= 1, got {x_grid_points}")
     x_center = _points(x_center, model.d, "x_center")

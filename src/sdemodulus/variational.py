@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .integrator import SolutionPath, euler_solve_many
-from .model import DriftModel, _points
+from .model import DriftModel, _points, _scalar
 from .paths import BrownianPath, TimeGrid, _write_series
 
 __all__ = [
@@ -110,9 +110,7 @@ def finite_difference_profile(
     """
     x = _points(x, model.d, "x")
     h = _points(h, model.d, "h")
-    eps_values = [float(e) for e in eps_values]
-    if any(e <= 0.0 for e in eps_values):
-        raise ValueError("eps values must be positive")
+    eps_values = [_scalar("eps", float(e), positive=True) for e in eps_values]
     ics = np.stack([x] + [x + e * h for e in eps_values])
     states = euler_solve_many(model, ics, path)  # (1+k, N+1, d)
     base = SolutionPath(path.grid, states[0], x, path.seed)

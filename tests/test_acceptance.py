@@ -142,7 +142,7 @@ def test_criterion_06_modulus_verification():
     for q in (0.5, 1.0):
         rep = verify_modulus(
             m, np.array([0.5]), np.array([1.0]), ladder, q, 1.5,
-            TimeGrid(1.0, 2048), 10_000, 0, safety=1.2,
+            TimeGrid(1.0, 2048), 10_000, 0, safety=1.2, threads=2,
         )
         ok &= rep.passed
         detail.append(f"q={q}: pass={rep.passed} c_global={rep.constants.c_global:.3e}")
@@ -152,7 +152,7 @@ def test_criterion_06_modulus_verification():
 def test_criterion_07_brownian_sup_moment():
     t0 = time.time()
     target = math.sqrt(math.pi / 2.0)
-    est = estimate_poly_moment(1.0, np.eye(1), TimeGrid(1.0, 10_000), 1, 100_000, 7)
+    est = estimate_poly_moment(1.0, np.eye(1), TimeGrid(1.0, 10_000), 1, 100_000, 7, threads=2)
     tol = 3.0 * est.std_error + 0.015 * target
     gap = abs(est.mean - target)
     _report(7, "Brownian sup-moment", gap <= tol, t0,

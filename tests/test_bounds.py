@@ -146,6 +146,12 @@ def test_power_sum_validation():
         power_sum_bound(1.0, [])
 
 
+def test_power_sum_rejects_a_nan_exponent():
+    """A NaN beta gave PowerSumBound(nan, nan, ok=False), a verdict with no inequality in it."""
+    with pytest.raises(ValueError, match=r"^beta must be finite and >= 0, got nan$"):
+        power_sum_bound(math.nan, [1.0, 2.0])
+
+
 # -- log-monotonicity --------------------------------------------------------------
 
 
@@ -166,6 +172,18 @@ def test_log_monotone_precondition():
         log_monotone_check(1.0, 2.0, 3.0)  # a < e^1
     with pytest.raises(ValueError):
         log_monotone_check(1.0, 4.0, 3.5)  # a > b
+
+
+def test_log_monotone_blames_a_nan_q():
+    """A NaN q used to be reported as a bad a: `a must be >= e^q = nan`."""
+    with pytest.raises(ValueError, match=r"^q must be finite and positive, got nan$"):
+        log_monotone_check(math.nan, 3.0, 4.0)
+
+
+def test_log_monotone_shifted_rejects_a_nan_q():
+    """A NaN q gave False, a failed inequality, where there is no inequality to check."""
+    with pytest.raises(ValueError, match=r"^q must be finite and positive, got nan$"):
+        log_monotone_shifted_check(math.nan, 3.0, 4.0)
 
 
 def test_log_monotone_shifted_hand_values():

@@ -684,6 +684,24 @@ def test_global_bound_constant():
         global_bound_constant(-1.0, 0.0, 1.0, 1.0)
 
 
+def test_constants_reject_nan_and_keep_inf():
+    """A NaN constant raises by name; an infinite K or c_local still overflows to inf.
+
+    A NaN C used to drop the C term of c_global, and a NaN K gave Kcal = nan.
+    An inf is kept so that RegularityConstants can name the constant that overflowed.
+    """
+    with pytest.raises(ValueError, match=r"^C must be >= 0, got nan$"):
+        global_bound_constant(1.0, math.nan, 1.5, 1.0)
+    with pytest.raises(ValueError, match=r"^c_local must be >= 0, got nan$"):
+        global_bound_constant(math.nan, 1.0, 1.5, 1.0)
+    with pytest.raises(ValueError, match=r"^K must be >= 0, got nan$"):
+        theoretical_constant(math.nan, 1.0, 1.0)
+    assert global_bound_constant(math.inf, 1.0, 1.5, 1.0) == math.inf
+    assert global_bound_constant(1.0, math.inf, 1.5, 1.0) == math.inf
+    out = theoretical_constant(math.inf, 1.0, 1.0)
+    assert out.Kcal == out.c_local == math.inf
+
+
 # -- F/G decomposition ---------------------------------------------------------------
 
 

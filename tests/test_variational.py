@@ -159,6 +159,15 @@ def test_fd_eps_validation():
         finite_difference_profile(m, np.array([0.0]), np.array([1.0]), p, [0.0])
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0])
+def test_fd_eps_names_eps(eps):
+    """A bad eps is named as eps, not as the perturbed starts x0s it would make."""
+    m = catalog_model("oscillatory1d")
+    p = sample_path(0, TimeGrid(1.0, 8), 1)
+    with pytest.raises(ValueError, match=rf"^eps must be finite and positive, got {eps}$"):
+        finite_difference_profile(m, [0.5], [1.0], p, [1e-3, eps])
+
+
 # -- growth bound -------------------------------------------------------------------
 
 
