@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import euler_solve
-from .model import DriftModel, _points, _scalar
+from .model import DriftModel, _count, _points, _scalar
 from .paths import BrownianPath, path_sup_stats
 
 __all__ = [
@@ -62,8 +62,7 @@ def discrete_gronwall_bound(alpha: float, beta: float, n: int) -> tuple:
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     _scalar("beta", beta)
-    if n < 0 or int(n) != n:
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
+    n = _count("n", n, 0)
     return alpha * _pow1p(beta, n), abs(alpha) * _exp(beta * n)
 
 

@@ -161,6 +161,8 @@ class ExperimentConfig:
             raise UsageError(f"threads must be >= 1, got {self.threads}")
         if self.u_grid < 2:
             raise UsageError(f"u_grid must be >= 2, got {self.u_grid}")
+        if self.lattice_points < 1:
+            raise UsageError(f"lattice_points must be >= 1, got {self.lattice_points}")
         if self.tol is not None:
             _scalar("tol", self.tol, positive=True)
 

@@ -56,7 +56,7 @@ class SolutionPath:
         states = states.copy()
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "initial", np.asarray(self.initial, dtype=float).copy())
+        object.__setattr__(self, "initial", _points(self.initial, self.d, "initial").copy())
 
     @property
     def d(self) -> int:

@@ -86,11 +86,11 @@ class NormSpec:
 EUCLIDEAN = NormSpec("euclidean")
 
 
-def _points(x, d: int, name: str, stack: bool = False) -> np.ndarray:
-    """``name`` as a finite float point, shape (d,), or with ``stack`` a stack (n, d), n >= 1."""
+def _points(x, d: int | None, name: str, stack: bool = False) -> np.ndarray:
+    """``name`` as a finite float point (d,), or with ``stack`` (n, d), n >= 1; d=None: any d."""
     x = (np.atleast_2d if stack else np.atleast_1d)(np.asarray(x, dtype=float))
-    if x.ndim != 1 + stack or x.shape[-1] != d or not len(x):
-        want = f"(n, {d}) with n >= 1" if stack else f"({d},)"
+    if x.ndim != 1 + stack or d not in (None, x.shape[-1]) or not x.size:
+        want = f"(n, {'k >= 1' if d is None else d}) with n >= 1" if stack else f"({d},)"
         raise ValueError(f"{name} must have shape {want}, got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite, got {x}")
@@ -103,6 +103,13 @@ def _scalar(name: str, value, positive: bool = False):
         rule = "positive" if positive else ">= 0"
         raise ValueError(f"{name} must be finite and {rule}, got {value}")
     return value
+
+
+def _count(name: str, value, low: int) -> int:
+    """``int(value)`` if ``value`` is a whole number with low <= value < inf; NaN fails."""
+    if not (low <= value < math.inf and int(value) == value):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -141,8 +148,8 @@ class DriftModel:
     norm_noise: NormSpec = EUCLIDEAN
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.shape != (self.d, self.m):
+        sigma = _points(self.sigma, self.m, "sigma", stack=True)
+        if len(sigma) != self.d:
             raise ValueError(f"sigma must have shape ({self.d}, {self.m}), got {sigma.shape}")
         object.__setattr__(self, "sigma", sigma)
         _scalar("kappa", self.kappa)
@@ -255,9 +262,7 @@ def check_derivative_growth(
     h, hence unit directions lose no generality.
     """
     _scalar("slack", slack)  # a NaN or inf slack would pass any ratio
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[-1] != model.d:
-        raise ValueError(f"points must have last axis {model.d}, got shape {pts.shape}")
+    pts = _points(points, model.d, "points", stack=True)
     rng = np.random.default_rng(seed)
     jacs = model.mu_jac_batch(pts)  # (n, d, d)
     if not np.isfinite(jacs).all():
@@ -291,12 +296,8 @@ def check_lyapunov(
     fast for grids with millions of pairs.
     """
     _scalar("slack", slack)
-    xs = np.atleast_2d(np.asarray(x_points, dtype=float))
-    zs = np.atleast_2d(np.asarray(z_points, dtype=float))
-    if xs.shape[-1] != model.d:
-        raise ValueError(f"x_points must have last axis {model.d}, got shape {xs.shape}")
-    if zs.shape[-1] != model.m:
-        raise ValueError(f"z_points must have last axis {model.m}, got shape {zs.shape}")
+    xs = _points(x_points, model.d, "x_points", stack=True)
+    zs = _points(z_points, model.m, "z_points", stack=True)
 
     grads = model.v_grad_batch(xs)  # (nx, d)
     vvals = model.v_batch(xs)  # (nx,)
@@ -339,7 +340,7 @@ def _fd_error(model: DriftModel, points: np.ndarray, fn, exact) -> float:
     The step is 1e-6 * (1 + |x|) per point; the discrepancy is relative to
     1 + |exact(x)| entrywise-max, so flat regions do not blow up the quotient.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _points(points, model.d, "points", stack=True)
     worst = 0.0
     for p, want in zip(pts, exact(pts)):
         step = 1e-6 * (1.0 + float(model.norm_state(p)))
@@ -367,6 +368,7 @@ def default_point_grid(dim: int) -> np.ndarray:
     """Default sweep sample in dimension ``dim``: the full tensor grid in
     dimensions 1 and 2, and the axis grids plus a fixed quasi-random box
     sample in higher dimensions (a full grid would grow exponentially)."""
+    dim = _count("dim", dim, 1)
     axis = np.linspace(_SWEEP_LO, _SWEEP_HI, _SWEEP_POINTS)
     if dim == 1:
         return axis[:, None]
@@ -523,8 +525,7 @@ def catalog_model(
         d = row.d or 1
     elif row.d is None and d != 1:
         raise ValueError(f"model {name!r} is one-dimensional; d={d} is not supported")
-    elif d < 1:
-        raise ValueError("d must be >= 1")
+    d = _count("d", d, 1)
     V, V_grad = _smooth_v(math.sqrt(d) if norm_state == "one" else 1.0)
     # |z|_2 <= sqrt(m) |z|_max and |z|_2 <= |z|_1, so only max needs rescaling.
     noise_factor = math.sqrt(d) if norm_noise == "max" else 1.0

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import EstimatorError, GridMismatchError
-from .model import EUCLIDEAN, DriftModel, NormSpec, _scalar
+from .model import EUCLIDEAN, DriftModel, NormSpec, _count, _points, _scalar
 
 __all__ = [
     "TimeGrid",
@@ -52,9 +52,7 @@ class TimeGrid:
 
     def __post_init__(self):
         _scalar("T", self.T)
-        if int(self.N) != self.N or self.N < 1:
-            raise ValueError(f"N must be an integer >= 1, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", _count("N", self.N, 1))
 
     @property
     def dt(self) -> float:
@@ -78,11 +76,9 @@ class BrownianPath:
     seed: int
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != self.grid.N + 1:
-            raise ValueError(
-                f"values must have shape (N+1, m) = ({self.grid.N + 1}, m), got {values.shape}"
-            )
+        values = _points(self.values, None, "values", stack=True)
+        if len(values) != self.grid.N + 1:
+            raise ValueError(f"values must have shape ({self.grid.N + 1}, m), got {values.shape}")
         if np.any(values[0] != 0.0):
             raise ValueError("a Brownian path starts at zero: values[0] must be 0")
         values = values.copy()
@@ -120,9 +116,7 @@ class PathSupStats:
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Counter-based per-sample stream: Philox keyed by (seed, index)."""
-    if index < 0:
-        raise ValueError("substream index must be >= 0")
-    key = (int(seed) & _MASK64) | (int(index) << 64)
+    key = (int(seed) & _MASK64) | (_count("index", index, 0) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -134,8 +128,7 @@ def derive_seed(seed: int, tag: int) -> int:
 
 def sample_path(seed: int, grid: TimeGrid, m: int) -> BrownianPath:
     """Draw one Brownian path on the grid: N(0, dt) increments from substream (seed, 0)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _count("m", m, 1)
     slabs = brownian_slabs([substream(seed, 0)], grid, m)
     values = np.concatenate([np.zeros((1, 1, m)), *slabs], axis=1)[0]
     return BrownianPath(grid, values, int(seed))
@@ -149,7 +142,8 @@ def zero_path(grid: TimeGrid, m: int) -> BrownianPath:
 def restrict(path: BrownianPath, coarse_N: int) -> BrownianPath:
     """Subsample a path onto the coarse grid with coarse_N steps (must divide N)."""
     N = path.grid.N
-    if coarse_N < 1 or N % coarse_N != 0:
+    coarse_N = _count("coarse_N", coarse_N, 1)
+    if N % coarse_N != 0:
         raise GridMismatchError(f"coarse_N must divide N = {N}, got {coarse_N}")
     if coarse_N == N:
         return path
@@ -176,14 +170,14 @@ def path_sup_stats(model: DriftModel, path: BrownianPath) -> PathSupStats:
 def map_batches(fn, n_samples: int, threads: int = 1) -> list:
     """Run fn(lo, hi) over the fixed batch plan [lo, hi), optionally on a thread pool.
 
-    ``n_samples`` must be >= 2 (one sample has no standard error); it is checked before fn runs.
+    ``n_samples`` (>= 2: one sample has no standard error) and ``threads`` are checked first.
     Partial results come back in batch order regardless of which worker
     produced them, so downstream reductions are bitwise reproducible.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    n_samples = _count("n_samples", n_samples, 2)
+    threads = _count("threads", threads, 1)
     ranges = [(lo, min(lo + BATCH_SAMPLES, n_samples)) for lo in range(0, n_samples, BATCH_SAMPLES)]
-    if threads <= 1 or len(ranges) <= 1:
+    if threads == 1 or len(ranges) == 1:
         return [fn(lo, hi) for lo, hi in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda r: fn(*r), ranges))
@@ -288,6 +282,7 @@ def estimate_exp_moment(
     EstimatorError if the mean or its standard error leaves the floats.
     """
     _scalar("c", c)
+    m = _count("m", m, 1)
     if not (0.0 <= alpha < 2.0):
         raise ValueError(f"alpha must lie in [0, 2), got {alpha}")
     slab_sup = _abs_sup if m == 1 else lambda w: np.max(norm(w), axis=1)
@@ -312,9 +307,7 @@ def estimate_poly_moment(
     Raises EstimatorError if the mean or its standard error leaves the floats.
     """
     _scalar("r", r)
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if sigma.shape[1] != m:
-        raise ValueError(f"sigma must have m = {m} columns, got shape {sigma.shape}")
+    sigma = _points(sigma, m, "sigma", stack=True)
     if sigma.shape == (1, 1):
         sups = abs(sigma[0, 0]) * brownian_sup_values(seed, grid, m, _abs_sup, n_samples, threads)
     else:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import EstimatorError
 from .integrator import _euler_steps
-from .model import DriftModel, _points, _scalar
+from .model import DriftModel, _count, _points, _scalar
 from .paths import (
     MCEstimate,
     TimeGrid,
@@ -367,8 +367,7 @@ def ball_lattice(model: DriftModel, radius: float, points_per_axis: int) -> np.n
     K estimate carries a safety factor.  The corner (radius, ..., radius)
     bounds every point's norm; it and the axis width 2 radius must be finite.
     """
-    if points_per_axis < 1:
-        raise ValueError("points_per_axis must be >= 1")
+    points_per_axis = _count("points_per_axis", points_per_axis, 1)
     radius = float(radius)
     with np.errstate(over="ignore"):
         corner = model.norm_state(np.full(model.d, radius))
@@ -651,8 +650,7 @@ def verify_modulus(
         raise ValueError("ladder must be strictly decreasing")
     for name, value in (("q", q), ("R", R), ("safety", safety)):
         _scalar(name, value, positive=True)
-    if x_grid_points < 1:
-        raise ValueError(f"x_grid_points must be >= 1, got {x_grid_points}")
+    x_grid_points = _count("x_grid_points", x_grid_points, 1)
     x_center = _points(x_center, model.d, "x_center")
     if float(model.norm_state(x_center)) > R * (1.0 + 1e-12):
         raise ValueError("x_center must lie inside the ball of radius R")
@@ -691,6 +689,6 @@ def verify_modulus(
         seed=int(seed),
         T=float(grid.T),
         N=int(grid.N),
-        lattice_points=int(x_grid_points),
+        lattice_points=x_grid_points,
         safety=float(safety),
     )

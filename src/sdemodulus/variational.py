@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .integrator import SolutionPath, euler_solve_many
-from .model import DriftModel, _points, _scalar
+from .model import DriftModel, _count, _points, _scalar
 from .paths import BrownianPath, TimeGrid, _write_series
 
 __all__ = [
@@ -184,8 +184,7 @@ def pathwise_distance_bound(
     max, so on a failed comparison the grid is refined once (doubled, keeping
     the original points) before the verdict.
     """
-    if u_grid < 2:
-        raise ValueError("u_grid must be >= 2 to include both endpoints")
+    u_grid = _count("u_grid", u_grid, 2)  # both endpoints
     x = _points(x, model.d, "x")
     y = _points(y, model.d, "y")
     dist0 = float(model.norm_state(x - y))

@@ -1,18 +1,23 @@
-"""Every real-valued argument check, in one table.
+"""Every real-valued, count and array argument check, in one table each.
 
-Each row names a function and one of its real arguments that must be finite
-and >= 0, or finite and positive.  NaN, +inf and a value just outside the
-range must each raise ValueError naming the argument, and a Monte Carlo
-estimator must raise before it builds a single substream.  The estimators'
-``n_samples >= 2`` rule is checked the same way.
+Each row of the first table names a function and one of its real arguments
+that must be finite and >= 0, or finite and positive.  NaN, +inf and a value
+just outside the range must each raise ValueError naming the argument, and a
+Monte Carlo estimator must raise before it builds a single substream.  The
+estimators' ``n_samples >= 2`` rule is checked the same way.  The count
+table does the same for arguments that must be whole numbers >= a bound, and
+the array table for arrays that must be finite and of the right width.
 """
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdemodulus
 from sdemodulus import paths, regularity
 from sdemodulus.bounds import (
     discrete_gronwall_bound,
@@ -22,10 +27,27 @@ from sdemodulus.bounds import (
     power_sum_bound,
 )
 from sdemodulus.cli import ExperimentConfig
-from sdemodulus.integrator import solve_adaptive
-from sdemodulus.model import catalog_model, check_derivative_growth, check_lyapunov
-from sdemodulus.paths import TimeGrid, estimate_exp_moment, estimate_poly_moment, sample_path
+from sdemodulus.integrator import SolutionPath, solve_adaptive
+from sdemodulus.model import (
+    catalog_model,
+    check_derivative_growth,
+    check_lyapunov,
+    default_point_grid,
+    jacobian_fd_error,
+    lyapunov_grad_fd_error,
+)
+from sdemodulus.paths import (
+    BrownianPath,
+    TimeGrid,
+    estimate_exp_moment,
+    estimate_poly_moment,
+    map_batches,
+    restrict,
+    sample_path,
+    substream,
+)
 from sdemodulus.regularity import (
+    ball_lattice,
     estimate_distance,
     estimate_K,
     fg_decomposition_check,
@@ -34,7 +56,7 @@ from sdemodulus.regularity import (
     theoretical_constant,
     verify_modulus,
 )
-from sdemodulus.variational import finite_difference_profile
+from sdemodulus.variational import finite_difference_profile, pathwise_distance_bound
 
 _M = catalog_model("oscillatory1d")
 _G = TimeGrid(1.0, 8)
@@ -126,5 +148,114 @@ def test_a_bad_real_argument_raises_by_name(call, name, positive, value, no_subs
 
 @pytest.mark.parametrize("call", [pytest.param(c, id=fn) for fn, c in _ESTIMATORS])
 def test_one_sample_is_refused_before_any_substream(call, no_substreams):
-    with pytest.raises(ValueError, match="^n_samples must be >= 2$"):
+    with pytest.raises(ValueError, match="^n_samples must be an integer >= 2, got 1$"):
         call(1)
+
+
+def _never(lo, hi):
+    raise AssertionError("a batch ran before the counts were checked")
+
+
+def _nan_at(shape, index):
+    out = np.zeros(shape)
+    out[index] = math.nan
+    return out
+
+
+# (function, count, lowest value, call with the count set to v)
+_COUNTS = [
+    ("TimeGrid", "N", 1, lambda v: TimeGrid(1.0, v)),
+    ("substream", "index", 0, lambda v: substream(0, v)),
+    ("sample_path", "m", 1, lambda v: sample_path(0, _G, v)),
+    ("estimate_exp_moment", "m", 1, lambda v: estimate_exp_moment(1.0, 1.0, _G, v, 16, 0)),
+    ("estimate_exp_moment", "threads", 1,
+     lambda v: estimate_exp_moment(1.0, 1.0, _G, 1, 16, 0, threads=v)),
+    ("restrict", "coarse_N", 1, lambda v: restrict(_PATH, v)),
+    ("map_batches", "n_samples", 2, lambda v: map_batches(_never, v)),
+    ("map_batches", "threads", 1, lambda v: map_batches(_never, 16, v)),
+    ("ball_lattice", "points_per_axis", 1, lambda v: ball_lattice(_M, 1.0, v)),
+    ("verify_modulus", "x_grid_points", 1,
+     lambda v: verify_modulus(_M, [0.5], [1.0], (0.1, 0.01), 1.0, 1.5, _G, 16, 0, x_grid_points=v)),
+    ("verify_modulus", "threads", 1,
+     lambda v: verify_modulus(_M, [0.5], [1.0], (0.1, 0.01), 1.0, 1.5, _G, 16, 0, threads=v)),
+    ("pathwise_distance_bound", "u_grid", 2,
+     lambda v: pathwise_distance_bound(_M, [0.5], [0.4], _PATH, v)),
+    ("discrete_gronwall_bound", "n", 0, lambda v: discrete_gronwall_bound(1.0, 0.5, v)),
+    ("catalog_model", "d", 1, lambda v: catalog_model("ou_nd", v)),
+    ("default_point_grid", "dim", 1, default_point_grid),
+]
+
+# (function, array argument, call with one NaN entry in it)
+_ARRAYS = [
+    ("DriftModel", "sigma", lambda: dataclasses.replace(_M, sigma=[[math.nan]])),
+    ("estimate_poly_moment", "sigma",
+     lambda: estimate_poly_moment(1.0, [[math.nan]], _G, 1, 16, 0)),
+    ("BrownianPath", "values", lambda: BrownianPath(_G, _nan_at((9, 1), (4, 0)), 0)),
+    ("SolutionPath", "initial", lambda: SolutionPath(_G, np.zeros((9, 1)), [math.nan], 0)),
+    ("check_derivative_growth", "points", lambda: check_derivative_growth(_M, [[math.nan]])),
+    ("check_lyapunov", "x_points", lambda: check_lyapunov(_M, [[math.nan]], _PTS)),
+    ("check_lyapunov", "z_points", lambda: check_lyapunov(_M, _PTS, [[math.nan]])),
+    ("jacobian_fd_error", "points", lambda: jacobian_fd_error(_M, [[math.nan]])),
+    ("lyapunov_grad_fd_error", "points", lambda: lyapunov_grad_fd_error(_M, [[math.nan]])),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name, low, value",
+    [
+        pytest.param(call, name, low, value, id=f"{fn}-{name}-{value}")
+        for fn, name, low, call in _COUNTS
+        for value in (math.nan, math.inf, low + 0.5, low - 1)
+    ],
+)
+def test_a_bad_count_raises_by_name(call, name, low, value, no_substreams):
+    message = f"{name} must be an integer >= {low}, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_a_whole_float_count_is_taken_as_its_integer():
+    assert TimeGrid(1.0, 8.0).N == 8 and type(TimeGrid(1.0, 8.0).N) is int
+    assert np.array_equal(restrict(_PATH, 4.0).values, restrict(_PATH, 4).values)
+    assert np.array_equal(substream(3, 2.0).standard_normal(4), substream(3, 2).standard_normal(4))
+
+
+@pytest.mark.parametrize("call, name", [pytest.param(c, n, id=f"{fn}-{n}") for fn, n, c in _ARRAYS])
+def test_a_nan_in_an_array_argument_raises_by_name(call, name, no_substreams):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: jacobian_fd_error(_M, [[0.0, 1.0]]), "points must have shape (n, 1) with n >= 1"),
+        (lambda: lyapunov_grad_fd_error(_M, [[0.0, 1.0]]),
+         "points must have shape (n, 1) with n >= 1"),
+        (lambda: SolutionPath(_G, np.zeros((9, 1)), [0.0, 1.0, math.nan], 0),
+         "initial must have shape (1,)"),
+        (lambda: BrownianPath(_G, np.zeros((9, 0)), 0),
+         "values must have shape (n, k >= 1) with n >= 1"),
+    ],
+    ids=["jacobian_fd_error", "lyapunov_grad_fd_error", "SolutionPath", "BrownianPath"],
+)
+def test_an_array_argument_of_the_wrong_width_raises_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}, got"):
+        call()
+
+
+# A count compared with 0, 1 or 2 in an if, or an array read by atleast_2d(np.asarray(...)):
+# the shapes of a hand-written check that model._count or model._points now makes.
+_HAND_WRITTEN_CHECK = re.compile(r"^\s*(el)?if .*[a-z_.]+ < [012]( |:)|atleast_2d\(np\.asarray")
+
+
+def test_no_count_or_array_check_is_written_by_hand():
+    """The command-line layer keeps its own UsageError checks; no library module has one."""
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(sdemodulus.__file__).parent.glob("*.py"))
+        if path.name != "cli.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if _HAND_WRITTEN_CHECK.search(line)
+    ]
+    assert found == []

@@ -457,6 +457,15 @@ def test_moments_single_sample_exits_1(capsys):
     assert captured.err == "sdemod: error: samples must be >= 2, got 1\n"
 
 
+def test_verify_modulus_lattice_points_zero_exits_1_naming_the_option(capsys):
+    """The error names the option the user set, not the library's x_grid_points."""
+    args = ["verify-modulus", "--model", "zero", "--lattice-points", "0", "--deterministic"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sdemod: error: lattice_points must be >= 1, got 0\n"
+
+
 def test_verify_modulus_single_sample_exits_1_and_check_bounds_takes_one_draw(capsys):
     """verify-modulus needs two samples for an error bar; one check-bounds draw is a sweep."""
     args = ["--model", "zero", "--samples", "1", "--steps", "8", "--deterministic"]

@@ -252,9 +252,9 @@ def test_non_finite_moment_coefficient_is_rejected(value):
 @pytest.mark.parametrize("n", [0, 1])
 def test_moment_needs_two_samples_for_an_error_bar(n):
     g = TimeGrid(1.0, 8)
-    with pytest.raises(ValueError, match="^n_samples must be >= 2$"):
+    with pytest.raises(ValueError, match=rf"^n_samples must be an integer >= 2, got {n}$"):
         estimate_exp_moment(1.0, 1.0, g, 1, n, seed=0)
-    with pytest.raises(ValueError, match="^n_samples must be >= 2$"):
+    with pytest.raises(ValueError, match=rf"^n_samples must be an integer >= 2, got {n}$"):
         estimate_poly_moment(1.0, np.eye(1), g, 1, n, seed=0)
 
 
