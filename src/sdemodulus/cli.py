@@ -30,6 +30,7 @@ from .bounds import apriori_bound
 from .errors import CatalogError, DivergenceError, EstimatorError
 from .integrator import euler_solve, solution_to_csv, solve_adaptive, verify_integral_equation
 from .model import (
+    _count,
     _scalar,
     catalog_model,
     check_derivative_growth,
@@ -78,16 +79,16 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _option(default, parse, help, commands=_SUBCOMMANDS, flag=None):
+def _option(default, parse, help, commands=_SUBCOMMANDS, flag=None, low=None):
     """A config field that is also an option: an INI key, and a flag of ``commands``.
 
     ``parse`` turns the text of a flag or INI value into the field's value;
     the flag is ``--`` + the field name with ``_`` as ``-`` unless ``flag``
-    names it.
+    names it.  A count sets ``low``, its least value.
     """
     return dataclasses.field(
         default=default,
-        metadata={"parse": parse, "help": help, "commands": commands, "flag": flag},
+        metadata={"parse": parse, "help": help, "commands": commands, "flag": flag, "low": low},
     )
 
 
@@ -102,18 +103,18 @@ class ExperimentConfig:
 
     model: str | None = _option(None, str, "catalog model name")
     T: float = _option(1.0, float, "time horizon", _STEPPED)
-    steps: int = _option(256, int, "Euler steps N", _STEPPED)
+    steps: int = _option(256, int, "Euler steps N", _STEPPED, low=1)
     samples: int = _option(
         1000, int, "Monte Carlo sample count / sweep draws",
-        ("check-bounds", "moments", "verify-modulus"),
+        ("check-bounds", "moments", "verify-modulus"), low=1,
     )
     seed: int = _option(0, int, "master seed")
-    x0: tuple | None = _option(
-        None, _parse_floats, "initial value, comma separated",
+    x0: tuple = _option(
+        (0.0,), _parse_floats, "initial value, comma separated",
         ("solve", "variational", "verify-modulus"),
     )
-    direction: tuple | None = _option(
-        None, _parse_floats, "perturbation direction, comma separated",
+    direction: tuple = _option(
+        (1.0,), _parse_floats, "perturbation direction, comma separated",
         ("variational", "verify-modulus"), flag="--dir",
     )
     ladder: tuple = _option(
@@ -126,15 +127,15 @@ class ExperimentConfig:
         None, float, "tolerance (per-subcommand meaning)", ("check-model", "solve", "variational"),
     )
     safety: float = _option(1.2, float, "lattice safety factor for K", ("verify-modulus",))
-    u_grid: int = _option(33, int, "segment grid for pathwise bound", ("check-bounds",))
+    u_grid: int = _option(33, int, "segment grid for pathwise bound", ("check-bounds",), low=2)
     lattice_points: int = _option(
-        9, int, "per-axis lattice points for moment constants", ("verify-modulus",),
+        9, int, "per-axis lattice points for moment constants", ("verify-modulus",), low=1,
     )
     slack: float = _option(1e-9, float, "relative slack for hypothesis sweeps", ("check-model",))
     out: str | None = _option(None, str, "output file (default: stdout)")
     format: str = _option("json", str, "output format: json or csv")
     threads: int = _option(
-        1, int, "worker cap; never changes results", ("moments", "verify-modulus"),
+        1, int, "worker cap; never changes results", ("moments", "verify-modulus"), low=1,
     )
     deterministic: bool = _option(
         False, _parse_bool, "omit the generated_at stamp so reruns are byte-identical",
@@ -153,16 +154,12 @@ class ExperimentConfig:
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
         _scalar("T", self.T)
-        if self.steps < 1:
-            raise UsageError(f"steps must be >= 1, got {self.steps}")
-        if self.samples < 1:
-            raise UsageError(f"samples must be >= 1, got {self.samples}")
-        if self.threads < 1:
-            raise UsageError(f"threads must be >= 1, got {self.threads}")
-        if self.u_grid < 2:
-            raise UsageError(f"u_grid must be >= 2, got {self.u_grid}")
-        if self.lattice_points < 1:
-            raise UsageError(f"lattice_points must be >= 1, got {self.lattice_points}")
+        try:
+            for name, opt in _OPTIONS.items():
+                if opt["low"] is not None:
+                    _count(name, getattr(self, name), opt["low"])
+        except ValueError as exc:  # a usage error, still naming the option
+            raise UsageError(str(exc)) from exc
         if self.tol is not None:
             _scalar("tol", self.tol, positive=True)
 
@@ -178,7 +175,7 @@ class UsageError(Exception):
     """Bad flags or bad config file: exit status 1."""
 
 
-_KEY_LINE = re.compile(r"^\s*([^;#\[\s][^=:]*?)\s*[=:]")
+_INI_LINE = re.compile(r"^\s*(?:\[(.+)\]|([^;#\[\s][^=:]*?)\s*[=:])")  # [section] or key =
 
 
 def _parse_ini(text: str, source: str) -> dict:
@@ -187,21 +184,25 @@ def _parse_ini(text: str, source: str) -> dict:
     Unknown or duplicate keys are rejected with line numbers so a typo in a
     config file cannot silently fall back to a default.
     """
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    # "" can name no [section], so [DEFAULT] is read like any other section.
+    parser = configparser.ConfigParser(interpolation=None, strict=True, default_section="")
     parser.optionxform = str  # keys are case-sensitive (T vs t)
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
         raise UsageError(f"{source}: {exc}") from exc
-    key_lines: dict[str, int] = {}
+    key_lines: dict[tuple, int] = {}  # (section, key) -> line; strict forbids repeats in one
+    section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        m = _KEY_LINE.match(line)
-        if m:
-            key_lines.setdefault(m.group(1).strip(), lineno)
+        m = _INI_LINE.match(line)
+        if m and m.group(1):
+            section = m.group(1)
+        elif m:
+            key_lines[section, m.group(2).strip()] = lineno
     values: dict = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            where = f"{source}:{key_lines.get(key, '?')}"
+            where = f"{source}:{key_lines.get((section, key), '?')}"
             if key not in _OPTIONS:
                 raise UsageError(f"{where}: unknown key {key!r}")
             if key in values:
@@ -252,20 +253,17 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     overrides = {k: v for k, v in vars(args).items() if k in _OPTIONS and v is not None}
     cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()
-    if args.subcommand in ("moments", "verify-modulus") and cfg.samples < 2:
-        raise UsageError(f"samples must be >= 2, got {cfg.samples}")
+    if args.subcommand in ("moments", "verify-modulus"):  # one sample gives no error bar
+        _count("samples", cfg.samples, 2)
     return cfg
 
 
 # -- shared helpers -----------------------------------------------------------
 
 
-def _vector(cfg: ExperimentConfig, name: str, d: int, default: float) -> np.ndarray:
-    """The d-vector option ``name``: ``default`` everywhere when unset, one value broadcast."""
-    v = getattr(cfg, name)
-    if v is None:
-        return np.full(d, default)
-    v = np.asarray(v, dtype=float)
+def _vector(cfg: ExperimentConfig, name: str, d: int) -> np.ndarray:
+    """The d-vector option ``name``, one value broadcast."""
+    v = np.asarray(getattr(cfg, name), dtype=float)
     if v.shape == (1,) and d > 1:
         return np.full(d, v[0])
     if v.shape != (d,):
@@ -374,7 +372,7 @@ def _run_check_bounds(cfg: ExperimentConfig, model, grid) -> tuple:
 
 def _run_solve(cfg: ExperimentConfig, model, grid) -> tuple:
     path = sample_path(cfg.seed, grid, model.m)
-    x0 = _vector(cfg, "x0", model.d, 0.0)
+    x0 = _vector(cfg, "x0", model.d)
     payload: dict = {"T": cfg.T, "seed": cfg.seed, "x0": list(map(float, x0))}
     if cfg.tol is not None:
         res = solve_adaptive(model, x0, path, cfg.tol)
@@ -393,8 +391,8 @@ def _run_solve(cfg: ExperimentConfig, model, grid) -> tuple:
 
 def _run_variational(cfg: ExperimentConfig, model, grid) -> tuple:
     path = sample_path(cfg.seed, grid, model.m)
-    x0 = _vector(cfg, "x0", model.d, 0.0)
-    h = _vector(cfg, "direction", model.d, 1.0)
+    x0 = _vector(cfg, "x0", model.d)
+    h = _vector(cfg, "direction", model.d)
     tol = cfg.tol if cfg.tol is not None else 1e-3
     sol = euler_solve(model, x0, path)
     var = variational_solve(model, sol, h)
@@ -436,8 +434,8 @@ def _run_moments(cfg: ExperimentConfig, model, grid) -> tuple:
 def _run_verify_modulus(cfg: ExperimentConfig, model, grid) -> tuple:
     report = verify_modulus(
         model,
-        _vector(cfg, "x0", model.d, 0.0),
-        _vector(cfg, "direction", model.d, 1.0),
+        _vector(cfg, "x0", model.d),
+        _vector(cfg, "direction", model.d),
         cfg.ladder,
         q=cfg.q,
         R=cfg.R,

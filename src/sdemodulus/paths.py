@@ -136,7 +136,7 @@ def sample_path(seed: int, grid: TimeGrid, m: int) -> BrownianPath:
 
 def zero_path(grid: TimeGrid, m: int) -> BrownianPath:
     """The identically-zero driving path (turns the scheme into a pure ODE solve)."""
-    return BrownianPath(grid, np.zeros((grid.N + 1, m)), seed=0)
+    return BrownianPath(grid, np.zeros((grid.N + 1, _count("m", m, 1))), seed=0)
 
 
 def restrict(path: BrownianPath, coarse_N: int) -> BrownianPath:
@@ -307,6 +307,7 @@ def estimate_poly_moment(
     Raises EstimatorError if the mean or its standard error leaves the floats.
     """
     _scalar("r", r)
+    m = _count("m", m, 1)
     sigma = _points(sigma, m, "sigma", stack=True)
     if sigma.shape == (1, 1):
         sups = abs(sigma[0, 0]) * brownian_sup_values(seed, grid, m, _abs_sup, n_samples, threads)

@@ -387,7 +387,7 @@ def _lattice_pass(model, R, x_grid_points, lattice, grid, seed, n_samples, threa
     """One ensemble over the start lattice: summed node stats of |X|, and each sample's max |X|."""
     _scalar("R", R)
     if lattice is None:
-        lattice = ball_lattice(model, R + 1.0, x_grid_points)
+        lattice = ball_lattice(model, R + 1.0, _count("x_grid_points", x_grid_points, 1))
     lattice = _points(lattice, model.d, "lattice", stack=True)
     count, outs = _ensemble(
         model, lattice, grid, seed, n_samples, threads,

@@ -106,6 +106,18 @@ def test_config_duplicate_key_rejected():
         ExperimentConfig.from_ini(text)
 
 
+def test_config_duplicate_key_across_sections_cites_the_duplicate():
+    text = "[a]\nsteps = 8\nseed = 1\n[b]\nsteps = 16\n"
+    with pytest.raises(UsageError, match=r"^x\.ini:5: duplicate key 'steps'$"):
+        ExperimentConfig.from_ini(text, "x.ini")
+
+
+def test_config_default_section_is_read_like_any_other():
+    assert ExperimentConfig.from_ini("[DEFAULT]\nsteps = 8\n").steps == 8
+    with pytest.raises(UsageError, match=r"^x\.ini:4: duplicate key 'steps'$"):
+        ExperimentConfig.from_ini("[DEFAULT]\nsteps = 8\n[a]\nsteps = 16\n", "x.ini")
+
+
 def test_config_bad_value_rejected():
     with pytest.raises(UsageError, match="steps"):
         ExperimentConfig.from_ini("[experiment]\nsteps = many\n")
@@ -123,6 +135,23 @@ def test_config_validate_rejects_bad_ranges():
         ExperimentConfig(model="zero", samples=0).validate()
     with pytest.raises(UsageError):
         ExperimentConfig(model="zero", format="xml").validate()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--steps", "0"], "steps must be an integer >= 1, got 0"),
+        (["check-bounds", "--samples", "0"], "samples must be an integer >= 1, got 0"),
+        (["check-bounds", "--u-grid", "1"], "u_grid must be an integer >= 2, got 1"),
+        (["moments", "--threads", "0"], "threads must be an integer >= 1, got 0"),
+    ],
+    ids=["steps", "samples", "u_grid", "threads"],
+)
+def test_a_count_below_its_floor_exits_1_naming_the_option(argv, message, capsys):
+    assert main(argv + ["--model", "zero", "--deterministic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sdemod: error: {message}\n"
 
 
 # -- exit codes ----------------------------------------------------------------------
@@ -166,6 +195,19 @@ def test_check_model_passes(capsys):
     payload = json.loads(out)
     assert payload["pass"] is True
     assert payload["lyapunov"]["violations"] == []
+
+
+def test_check_model_sweeps_a_three_dimensional_grid(capsys):
+    assert main(["check-model", "--model", "ou_nd", "--d", "3", "--deterministic"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["d"] == 3 and payload["pass"] is True
+
+
+def test_check_model_csv_flattens_the_violation_list(capsys):
+    argv = ["check-model", "--model", "oscillatory1d", "--kappa", "0.1", "--format", "csv"]
+    assert main(argv + ["--deterministic"]) == 2
+    rows = capsys.readouterr().out.splitlines()
+    assert "derivative_growth.violations[0].x[0],-10.0" in rows
 
 
 def test_check_model_detects_bad_exponent(capsys):
@@ -276,6 +318,22 @@ def test_solve_json(capsys):
     assert payload["model"] == "linear1d"
     assert len(payload["final_state"]) == 1
     assert payload["integral_residual"] < 1e-3
+
+
+@pytest.mark.parametrize(
+    "tol, converged, n_used, code", [("1e-4", False, 4096, 2), ("1e-3", True, 1024, 0)]
+)
+def test_solve_tol_refines_the_grid_and_exits_2_unconverged(tol, converged, n_used, code, capsys):
+    argv = ["solve", "--model", "linear1d", "--x0", "1", "--steps", "4096", "--tol", tol]
+    assert main(argv + ["--deterministic"]) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is converged and payload["N_used"] == n_used
+
+
+def test_unset_start_and_direction_are_zero_and_one(capsys):
+    assert main(["variational", "--model", "bounded_tanh", "--d", "2", "--deterministic"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["x0"] == [0.0, 0.0] and payload["direction"] == [1.0, 1.0]
 
 
 def test_solve_csv(capsys):
@@ -454,7 +512,7 @@ def test_moments_single_sample_exits_1(capsys):
     assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "sdemod: error: samples must be >= 2, got 1\n"
+    assert captured.err == "sdemod: error: samples must be an integer >= 2, got 1\n"
 
 
 def test_verify_modulus_lattice_points_zero_exits_1_naming_the_option(capsys):
@@ -463,7 +521,7 @@ def test_verify_modulus_lattice_points_zero_exits_1_naming_the_option(capsys):
     assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "sdemod: error: lattice_points must be >= 1, got 0\n"
+    assert captured.err == "sdemod: error: lattice_points must be an integer >= 1, got 0\n"
 
 
 def test_verify_modulus_single_sample_exits_1_and_check_bounds_takes_one_draw(capsys):
@@ -472,7 +530,7 @@ def test_verify_modulus_single_sample_exits_1_and_check_bounds_takes_one_draw(ca
     assert main(["verify-modulus"] + args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "sdemod: error: samples must be >= 2, got 1\n"
+    assert captured.err == "sdemod: error: samples must be an integer >= 2, got 1\n"
     assert main(["check-bounds"] + args) == 0
     assert json.loads(capsys.readouterr().out)["draws"] == 1
 
