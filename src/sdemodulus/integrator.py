@@ -183,7 +183,7 @@ def solve_adaptive(model: DriftModel, x0, fine_path: BrownianPath, tol: float) -
             dist = math.inf
         if cur is not None:
             last = cur
-        if dist <= tol and cur is not None:
+        if dist <= tol:
             return AdaptiveResult(cur, N_level, dist, True)
         prev = cur
     if last is None:

@@ -18,6 +18,7 @@ import pytest
 
 from sdemodulus import (
     FULL,
+    SolutionPath,
     TimeGrid,
     VariationalPath,
     catalog_model,
@@ -61,12 +62,17 @@ def test_cubic_linearization_closed_form():
     [
         ("oscillatory1d", None, 7, [0.7], [1.0],
          "13a4d6278091862b0c309e8e9337143ad43062beec0e2eb98beb4c9a04d12e93"),
+        # d = 1 "full" steps on numpy, and must repeat the bits of the float steps above.
+        ("oscillatory1d", None, 7, [0.7], FULL,
+         "13a4d6278091862b0c309e8e9337143ad43062beec0e2eb98beb4c9a04d12e93"),
+        ("linear1d", None, 9, [1.3], [-0.7],
+         "f9744809f893c61c14bc3718c6a04d8c7225ed2c33134973188d56729d517fe4"),
         ("bounded_tanh", 2, 8, [0.3, -1.1], [0.6, 0.8],
          "9cdb046a09a2fe03ec6506f13a184bd1faecee4b8f4a00b8d4f6b27e2b525617"),
         ("bounded_tanh", 2, 8, [0.3, -1.1], FULL,
          "eda417d3ec6e55a9da39f156607fe84250e7cf0f0188023554d02fa8a65b605d"),
     ],
-    ids=["oscillatory1d", "bounded_tanh-2", "bounded_tanh-2-full"],
+    ids=["oscillatory1d", "oscillatory1d-full", "linear1d", "bounded_tanh-2", "bounded_tanh-2-full"],
 )
 def test_variational_golden_bytes(name, d, seed, x, h, golden):
     """Every derivative bit at N = 1024 repeats: a cheaper step must not move one."""
@@ -74,6 +80,36 @@ def test_variational_golden_bytes(name, d, seed, x, h, golden):
     sol = euler_solve(m, x, sample_path(seed, TimeGrid(1.0, 1024), m.m))
     dirs = variational_solve(m, sol, h).dirs
     assert hashlib.sha256(dirs.tobytes()).hexdigest() == golden
+
+
+def _numpy_recursion(model, sol, h) -> np.ndarray:
+    """The derivative recursion as numpy runs it for any d: the reference for d = 1."""
+    cur = np.array(h, dtype=float)
+    out = [cur]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for jac in model.mu_jac_batch(sol.states)[:-1]:
+            cur = np.add(cur, sol.grid.dt * (jac @ cur))
+            out.append(cur)
+    return np.array(out)
+
+
+def test_one_coordinate_steps_are_numpys_bits():
+    """d = 1 steps on floats; every bit, the sign of zero, inf and NaN included, is numpy's."""
+    m = catalog_model("oscillatory1d")
+    rng = np.random.default_rng(19)
+    grid = TimeGrid(1.0, 64)
+    sols = [
+        euler_solve(m, rng.uniform(-2.0, 2.0, 1), sample_path(derive_seed(9000, i), grid, 1))
+        for i in range(40)
+    ]
+    huge = np.full((grid.N + 1, 1), 1e154)  # mu' = -1.8e154: jac * h overflows for h >= 1e155
+    sols.append(SolutionPath(grid, huge, huge[0], 0))
+    for sol in sols:
+        for h in (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e200, rng.standard_normal()):
+            got = variational_solve(m, sol, [h]).dirs
+            want = _numpy_recursion(m, sol, [h])
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (sol.initial, h)
+            assert got.tobytes() == want.tobytes(), (sol.initial, h)
 
 
 def test_linearity_in_direction():
