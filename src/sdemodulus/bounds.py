@@ -16,7 +16,7 @@ import numpy as np
 
 from .integrator import euler_solve
 from .model import DriftModel, _count, _points, _scalar
-from .paths import BrownianPath, path_sup_stats
+from .paths import BrownianPath, _check_noise
 
 __all__ = [
     "GronwallCheck",
@@ -162,9 +162,11 @@ def apriori_bound(model: DriftModel, xi, path: BrownianPath) -> AprioriBound:
     stands in for the exact one, so the slack also absorbs discretization.
     """
     xi = _points(xi, model.d, "xi")
-    stats = path_sup_stats(model, path)
+    _check_noise(model, path)
+    sup_sigma_w = float(np.max(model.norm_state(path.values @ model.sigma.T)))
+    sup_phi_w = float(np.max(model.phi_noise(path.values)))
     v0 = float(model.v_batch(xi[None, :])[0])
-    bound = v0 * _exp(path.grid.T * stats.sup_phi_w) + stats.sup_sigma_w
+    bound = v0 * _exp(path.grid.T * sup_phi_w) + sup_sigma_w
     sol = euler_solve(model, xi, path)
     sup_sol = float(np.max(model.norm_state(sol.states)))
     return AprioriBound(bound=bound, sup_solution=sup_sol, ok=sup_sol <= bound * (1.0 + 1e-6))

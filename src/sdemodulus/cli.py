@@ -50,7 +50,7 @@ from .paths import (
 )
 from .regularity import verify_modulus
 from .variational import (
-    finite_difference_check,
+    finite_difference_profile,
     growth_bound_check,
     pathwise_distance_bound,
     variational_solve,
@@ -305,9 +305,12 @@ def _emit(cfg: ExperimentConfig, payload: dict, csv_writer=None) -> None:
         text = buf.getvalue()
     if cfg.out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file: {exc}") from exc
 
 
 # -- subcommands --------------------------------------------------------------
@@ -397,8 +400,9 @@ def _run_variational(cfg: ExperimentConfig, model, grid) -> tuple:
     sol = euler_solve(model, x0, path)
     var = variational_solve(model, sol, h)
     gb = growth_bound_check(model, sol, var)
-    fd = finite_difference_check(model, x0, h, path, eps=1e-5)
-    ok = gb.ok and fd.max_discrepancy <= tol
+    fd_eps = 1e-5
+    [fd] = finite_difference_profile(model, x0, h, path, [fd_eps])
+    ok = gb.ok and fd <= tol
     return ok, {
         "T": cfg.T,
         "seed": cfg.seed,
@@ -407,8 +411,8 @@ def _run_variational(cfg: ExperimentConfig, model, grid) -> tuple:
         "final_derivative": [float(v) for v in var.dirs[-1]],
         "growth_ok": gb.ok,
         "growth_margin": gb.margin,
-        "fd_discrepancy": fd.max_discrepancy,
-        "fd_eps": fd.eps,
+        "fd_discrepancy": fd,
+        "fd_eps": fd_eps,
         "fd_tolerance": tol,
         "pass": ok,
     }, lambda fh: variational_to_csv(var, fh)
@@ -420,7 +424,7 @@ def _run_moments(cfg: ExperimentConfig, model, grid) -> tuple:
         norm=model.norm_noise, threads=cfg.threads,
     )
     poly_est = estimate_poly_moment(
-        cfg.r, model.sigma, grid, model.m, cfg.samples, derive_seed(cfg.seed, 2),
+        cfg.r, model.sigma, grid, cfg.samples, derive_seed(cfg.seed, 2),
         norm_state=model.norm_state, threads=cfg.threads,
     )
     return True, {

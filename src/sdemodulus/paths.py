@@ -27,13 +27,11 @@ __all__ = [
     "TimeGrid",
     "BrownianPath",
     "MCEstimate",
-    "PathSupStats",
     "substream",
     "derive_seed",
     "sample_path",
     "zero_path",
     "restrict",
-    "path_sup_stats",
     "estimate_exp_moment",
     "estimate_poly_moment",
 ]
@@ -106,14 +104,6 @@ class MCEstimate:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class PathSupStats:
-    """Node suprema of a driving path under a model's norms."""
-
-    sup_sigma_w: float
-    sup_phi_w: float
-
-
 def substream(seed: int, index: int) -> np.random.Generator:
     """Counter-based per-sample stream: Philox keyed by (seed, index)."""
     key = (int(seed) & _MASK64) | (_count("index", index, 0) << 64)
@@ -154,14 +144,6 @@ def restrict(path: BrownianPath, coarse_N: int) -> BrownianPath:
 def _check_noise(model: DriftModel, path: BrownianPath) -> None:
     if path.m != model.m:
         raise GridMismatchError(f"path has m={path.m}, model expects m={model.m}")
-
-
-def path_sup_stats(model: DriftModel, path: BrownianPath) -> PathSupStats:
-    """Node suprema sup_n |sigma W(t_n)| and sup_n phi(W(t_n)) for a model."""
-    _check_noise(model, path)
-    sup_sw = float(np.max(model.norm_state(path.values @ model.sigma.T)))
-    sup_phi = float(np.max(model.phi_noise(path.values)))
-    return PathSupStats(sup_sigma_w=sup_sw, sup_phi_w=sup_phi)
 
 
 # -- Monte Carlo machinery -------------------------------------------------
@@ -296,19 +278,18 @@ def estimate_poly_moment(
     r: float,
     sigma: np.ndarray,
     grid: TimeGrid,
-    m: int,
     n_samples: int,
     seed: int,
     norm_state: NormSpec = EUCLIDEAN,
     threads: int = 1,
 ) -> MCEstimate:
-    """Estimate E[sup_n |sigma W(t_n)|**r] by Monte Carlo.
+    """Estimate E[sup_n |sigma W(t_n)|**r] by Monte Carlo, W of dimension m = sigma.shape[1].
 
     Raises EstimatorError if the mean or its standard error leaves the floats.
     """
     _scalar("r", r)
-    m = _count("m", m, 1)
-    sigma = _points(sigma, m, "sigma", stack=True)
+    sigma = _points(sigma, None, "sigma", stack=True)
+    m = sigma.shape[1]
     if sigma.shape == (1, 1):
         sups = abs(sigma[0, 0]) * brownian_sup_values(seed, grid, m, _abs_sup, n_samples, threads)
     else:

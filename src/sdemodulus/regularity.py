@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 
@@ -524,46 +524,32 @@ def global_bound_constant(c_local: float, C: float, R: float, q: float) -> float
 
 @dataclass(frozen=True)
 class RegularityConstants:
-    """All constants of one modulus verification, finite and mutually consistent.
+    """All constants of one modulus verification, derived from R, q, K, C and T.
 
-    ``K`` already includes the lattice safety factor.  Construction raises
-    EstimatorError naming a constant that left the floats, since a bound
-    made of inf holds everywhere, and checks ``c_local`` and ``c_global``
-    against the other fields.
+    ``K`` already includes the lattice safety factor.  Kcal and c_local come
+    from ``theoretical_constant``, c_global from ``global_bound_constant``.
+    Construction raises EstimatorError naming a constant that left the
+    floats, since a bound made of inf holds everywhere.
     """
 
     R: float
     q: float
     K: float
-    Kcal: float
-    c_local: float
+    Kcal: float = field(init=False)
+    c_local: float = field(init=False)
     C: float
-    c_global: float
+    c_global: float = field(init=False)
+    T: InitVar[float]
 
-    def __post_init__(self):
+    def __post_init__(self, T):
+        tc = theoretical_constant(self.K, self.q, T)
+        c_global = global_bound_constant(tc.c_local, self.C, self.R, self.q)
+        for name, value in (("Kcal", tc.Kcal), ("c_local", tc.c_local), ("c_global", c_global)):
+            object.__setattr__(self, name, value)
         for name in ("K", "C", "Kcal", "c_local", "c_global"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise EstimatorError(f"{name} = {value} is not finite, so the bound cannot fail")
-        want_local = 2.0 * math.sqrt((1.0 + 4.0 * self.K) * self.Kcal)
-        if not math.isclose(self.c_local, want_local, rel_tol=1e-9):
-            raise ValueError(f"c_local={self.c_local} inconsistent, expected {want_local}")
-        want_global = global_bound_constant(self.c_local, self.C, self.R, self.q)
-        if not math.isclose(self.c_global, want_global, rel_tol=1e-9):
-            raise ValueError(f"c_global={self.c_global} inconsistent, expected {want_global}")
-
-    @classmethod
-    def compute(cls, R: float, q: float, K: float, C: float, T: float) -> "RegularityConstants":
-        tc = theoretical_constant(K, q, T)
-        return cls(
-            R=float(R),
-            q=float(q),
-            K=float(K),
-            Kcal=tc.Kcal,
-            c_local=tc.c_local,
-            C=float(C),
-            c_global=global_bound_constant(tc.c_local, C, R, q),
-        )
 
 
 def _rung_passes(empirical: MCEstimate, theoretical: float) -> bool:
@@ -675,7 +661,7 @@ def verify_modulus(
     with np.errstate(over="ignore"):  # RegularityConstants names a K that overflows
         k_est = _K_from_max(model, top, q, safety, lattice_seed)
     c_est = _sup_of_means(*c_sums, lattice_count, lattice_seed)
-    constants = RegularityConstants.compute(R, q, k_est.mean, c_est.mean, grid.T)
+    constants = RegularityConstants(float(R), float(q), k_est.mean, c_est.mean, grid.T)
     theoretical = tuple(constants.c_global * abs(math.log(h)) ** (-q) for h in ladder)
     return RegularityReport(
         model=model.name,

@@ -29,10 +29,8 @@ __all__ = [
     "VariationalPath",
     "GrowthBound",
     "PathwiseBound",
-    "FDCheck",
     "FULL",
     "variational_solve",
-    "finite_difference_check",
     "finite_difference_profile",
     "growth_bound_check",
     "pathwise_distance_bound",
@@ -109,12 +107,6 @@ def variational_solve(model: DriftModel, sol: SolutionPath, h) -> VariationalPat
     return VariationalPath(sol.grid, out, h if isinstance(h, str) else out[0].copy())
 
 
-@dataclass(frozen=True)
-class FDCheck:
-    eps: float
-    max_discrepancy: float
-
-
 def finite_difference_profile(
     model: DriftModel, x, h, path: BrownianPath, eps_values
 ) -> list:
@@ -122,7 +114,7 @@ def finite_difference_profile(
 
     All perturbed solves share the base solve and the driving path (one
     ensemble call), so sweeping several eps values costs one extra
-    trajectory each.
+    trajectory each.  Each discrepancy is O(eps).
     """
     x = _points(x, model.d, "x")
     h = _points(h, model.d, "h")
@@ -136,12 +128,6 @@ def finite_difference_profile(
         diff = (pert - states[0]) / e - var.dirs
         out.append(float(np.max(model.norm_state(diff))))
     return out
-
-
-def finite_difference_check(model: DriftModel, x, h, path: BrownianPath, eps: float) -> FDCheck:
-    """Single-eps forward-difference check; the discrepancy is O(eps)."""
-    disc = finite_difference_profile(model, x, h, path, [eps])[0]
-    return FDCheck(eps=float(eps), max_discrepancy=disc)
 
 
 @dataclass(frozen=True)

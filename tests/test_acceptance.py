@@ -152,7 +152,7 @@ def test_criterion_06_modulus_verification():
 def test_criterion_07_brownian_sup_moment():
     t0 = time.time()
     target = math.sqrt(math.pi / 2.0)
-    est = estimate_poly_moment(1.0, np.eye(1), TimeGrid(1.0, 10_000), 1, 100_000, 7, threads=2)
+    est = estimate_poly_moment(1.0, np.eye(1), TimeGrid(1.0, 10_000), 100_000, 7, threads=2)
     tol = 3.0 * est.std_error + 0.015 * target
     gap = abs(est.mean - target)
     _report(7, "Brownian sup-moment", gap <= tol, t0,

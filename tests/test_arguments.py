@@ -80,7 +80,7 @@ _ROWS = [
     ("TimeGrid", "T", False, lambda v: TimeGrid(v, 8)),
     ("estimate_exp_moment", "c", False, lambda v: estimate_exp_moment(v, 1.0, _G, 1, 16, 0)),
     ("estimate_poly_moment", "r", False,
-     lambda v: estimate_poly_moment(v, np.eye(1), _G, 1, 16, 0)),
+     lambda v: estimate_poly_moment(v, np.eye(1), _G, 16, 0)),
     ("solve_adaptive", "tol", True, lambda v: solve_adaptive(_M, [0.5], _PATH, v)),
     ("estimate_K", "R", False, lambda v: estimate_K(_M, v, 1.0, _G, 16, 0, x_grid_points=3)),
     ("estimate_K", "q", False, lambda v: estimate_K(_M, 1.5, v, _G, 16, 0, x_grid_points=3)),
@@ -113,7 +113,7 @@ _ROWS = [
 
 _ESTIMATORS = [
     ("estimate_exp_moment", lambda n: estimate_exp_moment(1.0, 1.0, _G, 1, n, 0)),
-    ("estimate_poly_moment", lambda n: estimate_poly_moment(1.0, np.eye(1), _G, 1, n, 0)),
+    ("estimate_poly_moment", lambda n: estimate_poly_moment(1.0, np.eye(1), _G, n, 0)),
     ("estimate_K", lambda n: estimate_K(_M, 1.5, 1.0, _G, n, 0, x_grid_points=3)),
     ("moment_bound_check", lambda n: moment_bound_check(_M, 1.5, 1.0, _G, n, 0, x_grid_points=3)),
     ("verify_modulus", lambda n: _verify(n_samples=n)),
@@ -172,7 +172,6 @@ _COUNTS = [
     ("estimate_exp_moment", "m", 1, lambda v: estimate_exp_moment(1.0, 1.0, _G, v, 16, 0)),
     ("estimate_exp_moment", "threads", 1,
      lambda v: estimate_exp_moment(1.0, 1.0, _G, 1, 16, 0, threads=v)),
-    ("estimate_poly_moment", "m", 1, lambda v: estimate_poly_moment(1.0, [[1.0]], _G, v, 16, 0)),
     ("restrict", "coarse_N", 1, lambda v: restrict(_PATH, v)),
     ("map_batches", "n_samples", 2, lambda v: map_batches(_never, v)),
     ("map_batches", "threads", 1, lambda v: map_batches(_never, 16, v)),
@@ -196,7 +195,7 @@ _COUNTS = [
 _ARRAYS = [
     ("DriftModel", "sigma", lambda: dataclasses.replace(_M, sigma=[[math.nan]])),
     ("estimate_poly_moment", "sigma",
-     lambda: estimate_poly_moment(1.0, [[math.nan]], _G, 1, 16, 0)),
+     lambda: estimate_poly_moment(1.0, [[math.nan]], _G, 16, 0)),
     ("BrownianPath", "values", lambda: BrownianPath(_G, _nan_at((9, 1), (4, 0)), 0)),
     ("SolutionPath", "initial", lambda: SolutionPath(_G, np.zeros((9, 1)), [math.nan], 0)),
     ("check_derivative_growth", "points", lambda: check_derivative_growth(_M, [[math.nan]])),

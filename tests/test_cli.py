@@ -515,6 +515,18 @@ def test_moments_single_sample_exits_1(capsys):
     assert captured.err == "sdemod: error: samples must be an integer >= 2, got 1\n"
 
 
+@pytest.mark.parametrize("where, why", [("missing/x.json", "No such file"), (".", "Is a directory")])
+def test_unwritable_out_exits_1_with_a_usage_error(where, why, tmp_path, capsys):
+    """An --out that cannot be opened is a usage error, like an unreadable --config."""
+    out = tmp_path / where
+    assert main(["solve", "--model", "zero", "--steps", "4", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sdemod: error: cannot write output file: ")
+    assert why in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_verify_modulus_lattice_points_zero_exits_1_naming_the_option(capsys):
     """The error names the option the user set, not the library's x_grid_points."""
     args = ["verify-modulus", "--model", "zero", "--lattice-points", "0", "--deterministic"]

@@ -8,6 +8,7 @@ standard errors.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -21,11 +22,11 @@ from sdemodulus import (
     MCEstimate,
     NormSpec,
     TimeGrid,
+    apriori_bound,
     catalog_model,
     derive_seed,
     estimate_exp_moment,
     estimate_poly_moment,
-    path_sup_stats,
     restrict,
     sample_path,
     substream,
@@ -169,52 +170,41 @@ def test_derive_seed_stable():
 
 
 def test_path_sup_stats_hand_values():
-    """m=1, sigma=2 path with values {0, 1, -3}: sup |sigma W| = 6."""
+    """m=1 path with values {0, 1, -3}: sup |sigma W| = 3 |sigma| in the a priori bound.
+
+    linear1d has V(0) = 1 and phi(z) = 1 + |z|, so sup phi = 1 + max|W| = 4
+    and from xi = 0 the bound is e^4 + 3 |sigma|.
+    """
     m = catalog_model("linear1d")
-    model2 = type(m)(
-        name="scaled",
-        d=1,
-        m=1,
-        mu=m.mu,
-        mu_jac=m.mu_jac,
-        sigma=2.0 * np.eye(1),
-        kappa=m.kappa,
-        lyapunov=m.lyapunov,
-    )
     g = TimeGrid(1.0, 2)
     path = BrownianPath(g, np.array([[0.0], [1.0], [-3.0]]), seed=0)
-    stats = path_sup_stats(model2, path)
-    assert stats.sup_sigma_w == pytest.approx(6.0)
-    # linear1d: phi(z) = 1 + |z|, so sup phi = 1 + max|W| = 4
-    stats1 = path_sup_stats(m, path)
-    assert stats1.sup_phi_w == pytest.approx(4.0)
+    scaled = dataclasses.replace(m, name="scaled", sigma=2.0 * np.eye(1))
+    assert apriori_bound(scaled, [0.0], path).bound == pytest.approx(math.exp(4.0) + 6.0)
+    assert apriori_bound(m, [0.0], path).bound == pytest.approx(math.exp(4.0) + 3.0)
 
 
 def test_path_sup_stats_zero_path():
+    """Zero path: sup |sigma W| = 0 and sup phi = phi(0), so from V(0) = 1 the bound is e^phi(0)."""
     m = catalog_model("linear1d")
-    stats = path_sup_stats(m, zero_path(TimeGrid(1.0, 4), 1))
-    assert stats.sup_sigma_w == 0.0
-    assert stats.sup_phi_w == pytest.approx(m.lyapunov.phi_kappa)
+    res = apriori_bound(m, [0.0], zero_path(TimeGrid(1.0, 4), 1))
+    assert res.bound == math.exp(m.lyapunov.phi_kappa)
 
 
 def test_sigma_scaling_homogeneity():
-    """Doubling sigma exactly doubles sup_sigma_w on every stored path."""
+    """Doubling sigma exactly doubles the sup |sigma W| term of the a priori bound on every path.
+
+    The term is the bound less that at sigma = 0.  A large sigma keeps the
+    V(xi) e^(T sup phi) part, the same in all three bounds, from costing
+    digits in the differences.
+    """
     base = catalog_model("ou_nd", d=2)
-    doubled = type(base)(
-        name="double",
-        d=2,
-        m=2,
-        mu=base.mu,
-        mu_jac=base.mu_jac,
-        sigma=2.0 * np.eye(2),
-        kappa=base.kappa,
-        lyapunov=base.lyapunov,
-    )
     for seed in range(5):
         p = sample_path(seed, TimeGrid(1.0, 32), 2)
-        assert path_sup_stats(doubled, p).sup_sigma_w == pytest.approx(
-            2.0 * path_sup_stats(base, p).sup_sigma_w, rel=1e-15
+        b0, b1, b2 = (
+            apriori_bound(dataclasses.replace(base, sigma=s * np.eye(2)), [0.0, 0.0], p).bound
+            for s in (0.0, 2.0**20, 2.0**21)
         )
+        assert b2 - b0 == pytest.approx(2.0 * (b1 - b0), rel=1e-15)
 
 
 # -- moment estimators ----------------------------------------------------------
@@ -246,7 +236,7 @@ def test_non_finite_moment_coefficient_is_rejected(value):
     with pytest.raises(ValueError, match="^c must"):
         estimate_exp_moment(value, 1.0, g, 1, 10, seed=0)
     with pytest.raises(ValueError, match="^r must"):
-        estimate_poly_moment(value, np.eye(1), g, 1, 10, seed=0)
+        estimate_poly_moment(value, np.eye(1), g, 10, seed=0)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -255,32 +245,32 @@ def test_moment_needs_two_samples_for_an_error_bar(n):
     with pytest.raises(ValueError, match=rf"^n_samples must be an integer >= 2, got {n}$"):
         estimate_exp_moment(1.0, 1.0, g, 1, n, seed=0)
     with pytest.raises(ValueError, match=rf"^n_samples must be an integer >= 2, got {n}$"):
-        estimate_poly_moment(1.0, np.eye(1), g, 1, n, seed=0)
+        estimate_poly_moment(1.0, np.eye(1), g, n, seed=0)
 
 
 def test_poly_moment_r_zero_exact():
-    est = estimate_poly_moment(0.0, np.eye(1), TimeGrid(1.0, 16), 1, 50, seed=4)
+    est = estimate_poly_moment(0.0, np.eye(1), TimeGrid(1.0, 16), 50, seed=4)
     assert est.mean == 1.0
     assert est.std_error == 0.0
 
 
 def test_poly_moment_sigma_zero():
-    est = estimate_poly_moment(1.0, np.zeros((1, 1)), TimeGrid(1.0, 16), 1, 50, seed=4)
+    est = estimate_poly_moment(1.0, np.zeros((1, 1)), TimeGrid(1.0, 16), 50, seed=4)
     assert est.mean == 0.0
 
 
 def test_poly_moment_sigma_doubling_exact():
     """sup|2W|^1 = 2 sup|W|^1 sample by sample, so the estimate doubles exactly."""
     g = TimeGrid(1.0, 128)
-    a = estimate_poly_moment(1.0, np.eye(1), g, 1, 400, seed=6)
-    b = estimate_poly_moment(1.0, 2.0 * np.eye(1), g, 1, 400, seed=6)
+    a = estimate_poly_moment(1.0, np.eye(1), g, 400, seed=6)
+    b = estimate_poly_moment(1.0, 2.0 * np.eye(1), g, 400, seed=6)
     assert b.mean == 2.0 * a.mean
     assert b.std_error == 2.0 * a.std_error
 
 
 def test_poly_moment_reflection_oracle_small():
     """E sup|W| = sqrt(pi/2) with O(N^{-1/2}) grid bias at N=256."""
-    est = estimate_poly_moment(1.0, np.eye(1), TimeGrid(1.0, 256), 1, 4000, seed=10)
+    est = estimate_poly_moment(1.0, np.eye(1), TimeGrid(1.0, 256), 4000, seed=10)
     target = math.sqrt(math.pi / 2.0)
     assert est.mean <= target  # grid sup underestimates the continuous sup
     assert abs(est.mean - target) <= 3.0 * est.std_error + 0.08
@@ -288,8 +278,8 @@ def test_poly_moment_reflection_oracle_small():
 
 def test_poly_moment_cross_resolution_consistency():
     """r=2 estimates at N and 2N agree within 3 combined std errors."""
-    coarse = estimate_poly_moment(2.0, np.eye(1), TimeGrid(1.0, 512), 1, 4000, seed=11)
-    fine = estimate_poly_moment(2.0, np.eye(1), TimeGrid(1.0, 1024), 1, 4000, seed=12)
+    coarse = estimate_poly_moment(2.0, np.eye(1), TimeGrid(1.0, 512), 4000, seed=11)
+    fine = estimate_poly_moment(2.0, np.eye(1), TimeGrid(1.0, 1024), 4000, seed=12)
     tol = 3.0 * math.hypot(coarse.std_error, fine.std_error) + 0.05
     assert abs(coarse.mean - fine.mean) <= tol
 
@@ -304,8 +294,8 @@ def test_exp_moment_cross_resolution_consistency():
 def test_estimators_thread_invariant():
     """Two batches on a pool, on the scalar and the general path, bitwise as on one thread."""
     g = TimeGrid(1.0, 128)
-    a = estimate_poly_moment(1.0, np.eye(1), g, 1, 3000, seed=20, threads=1)
-    b = estimate_poly_moment(1.0, np.eye(1), g, 1, 3000, seed=20, threads=8)
+    a = estimate_poly_moment(1.0, np.eye(1), g, 3000, seed=20, threads=1)
+    b = estimate_poly_moment(1.0, np.eye(1), g, 3000, seed=20, threads=8)
     assert a == b
     c = estimate_exp_moment(0.5, 1.0, g, 1, 3000, seed=21, threads=1)
     d = estimate_exp_moment(0.5, 1.0, g, 1, 3000, seed=21, threads=8)
@@ -315,7 +305,7 @@ def test_estimators_thread_invariant():
         runs = [
             (
                 estimate_exp_moment(0.5, 1.5, g, m, 2100, seed=22, threads=t),
-                estimate_poly_moment(1.5, sigma, g, m, 2100, seed=23, threads=t),
+                estimate_poly_moment(1.5, sigma, g, 2100, seed=23, threads=t),
             )
             for t in (1, 2)
         ]
@@ -348,7 +338,7 @@ def test_scalar_sup_is_the_node_sup_of_every_norm_bitwise(N):
         for s in _SIGMAS:
             sigma = np.array([[s]])
             want = np.array([np.max(norm(w @ sigma.T)) for w in (w0, w1)])
-            got = estimate_poly_moment(1.0, sigma, grid, 1, 2, seed, norm_state=norm).mean
+            got = estimate_poly_moment(1.0, sigma, grid, 2, seed, norm_state=norm).mean
             assert got == float(np.mean(want))
             assert abs(s) * sups[0] == want[0]
             assert abs(s) * sups[2048] == np.max(norm(w2048 @ sigma.T))
@@ -363,9 +353,9 @@ def test_scalar_estimators_evaluate_no_norm(monkeypatch):
     monkeypatch.setattr(NormSpec, "__call__", boom)
     g = TimeGrid(1.0, 1025)
     assert estimate_exp_moment(1.0, 1.0, g, 1, 20, seed=3).mean > 1.0
-    assert estimate_poly_moment(1.0, [[2.0]], g, 1, 20, seed=4).mean > 0.0
+    assert estimate_poly_moment(1.0, [[2.0]], g, 20, seed=4).mean > 0.0
     with pytest.raises(AssertionError, match="a norm was evaluated"):
-        estimate_poly_moment(1.0, [[1.0, 0.0]], g, 2, 20, seed=4)
+        estimate_poly_moment(1.0, [[1.0, 0.0]], g, 20, seed=4)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -377,7 +367,7 @@ def test_moment_that_leaves_the_floats_raises(m):
         with pytest.raises(EstimatorError, match=r"^E\[sup exp\(c \|W\|\^alpha\)\] at c = 1000"):
             estimate_exp_moment(1000.0, 1.0, g, m, 64, seed=1)
         with pytest.raises(EstimatorError, match=r"^E\[sup \|sigma W\|\^r\] at r = 2000.0 left"):
-            estimate_poly_moment(2000.0, np.eye(m), g, m, 64, seed=2)
+            estimate_poly_moment(2000.0, np.eye(m), g, 64, seed=2)
 
 
 def test_grid_sup_monotone_same_realization():

@@ -250,7 +250,7 @@ def test_estimate_K_zero_model_matches_sup_moment():
     m = catalog_model("zero")
     grid = TimeGrid(1.0, 256)
     k = estimate_K(m, 0.0, 0.0, grid, 4000, 11, safety=1.0, lattice=np.array([[0.0]]))
-    ref = estimate_poly_moment(2.0, np.eye(1), grid, 1, 4000, 77)
+    ref = estimate_poly_moment(2.0, np.eye(1), grid, 4000, 77)
     tol = 3.0 * (k.std_error + ref.std_error) + 0.02
     assert abs(k.mean - ref.mean) <= tol
 
@@ -751,17 +751,21 @@ def test_fg_check_random_batches():
 
 
 def test_regularity_constants_compute_and_roundtrip():
-    rc = RegularityConstants.compute(R=1.5, q=1.0, K=3.0, C=2.0, T=1.0)
-    assert rc.c_global >= rc.c_local
+    """The derived fields are those of the two formulas, with either term of c_global larger."""
+    for R, q, K, C, T in ((1.5, 1.0, 3.0, 2.0, 1.0), (1.5, 1.0, 0.0, 1e6, 0.5)):
+        rc = RegularityConstants(R=R, q=q, K=K, C=C, T=T)
+        tc = theoretical_constant(K, q, T)
+        assert (rc.Kcal, rc.c_local) == (tc.Kcal, tc.c_local)
+        assert rc.c_global == global_bound_constant(tc.c_local, C, R, q)
+        assert list(dataclasses.asdict(rc)) == ["R", "q", "K", "Kcal", "c_local", "C", "c_global"]
+    assert rc.c_global > rc.c_local
 
 
 def test_regularity_constants_reject_inconsistent():
-    rc = RegularityConstants.compute(R=1.0, q=1.0, K=1.0, C=1.0, T=1.0)
-    with pytest.raises(ValueError):
-        RegularityConstants(
-            R=rc.R, q=rc.q, K=rc.K, Kcal=rc.Kcal,
-            c_local=rc.c_local * 2.0, C=rc.C, c_global=rc.c_global,
-        )
+    """A derived constant cannot be passed in, so it cannot disagree with K, C, R and q."""
+    for name in ("Kcal", "c_local", "c_global"):
+        with pytest.raises(TypeError, match=name):
+            RegularityConstants(R=1.0, q=1.0, K=1.0, C=1.0, T=1.0, **{name: 1.0})
 
 
 def _small_report(model_name="zero", x0=0.0, q=1.0):

@@ -24,7 +24,6 @@ from sdemodulus import (
     catalog_model,
     derive_seed,
     euler_solve,
-    finite_difference_check,
     finite_difference_profile,
     growth_bound_check,
     pathwise_distance_bound,
@@ -140,16 +139,16 @@ def test_full_flow_matches_columns():
 def test_fd_zero_model_exact():
     m = catalog_model("zero")
     p = sample_path(2, TimeGrid(1.0, 64), 1)
-    chk = finite_difference_check(m, np.array([0.2]), np.array([1.0]), p, eps=1e-6)
-    assert chk.max_discrepancy <= 1e-9
+    [disc] = finite_difference_profile(m, np.array([0.2]), np.array([1.0]), p, [1e-6])
+    assert disc <= 1e-9
 
 
 def test_fd_linear_model_exact():
     """Linear flow: the difference quotient is exact for any eps."""
     m = catalog_model("linear1d")
     p = sample_path(3, TimeGrid(1.0, 128), 1)
-    chk = finite_difference_check(m, np.array([1.0]), np.array([1.0]), p, eps=1e-2)
-    assert chk.max_discrepancy <= 1e-10
+    [disc] = finite_difference_profile(m, np.array([1.0]), np.array([1.0]), p, [1e-2])
+    assert disc <= 1e-10
 
 
 def test_fd_first_order_in_eps():
