@@ -15,12 +15,17 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
 import re
+import stat
 import sys
+import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -282,8 +287,8 @@ def _flatten(prefix: str, obj, rows: list) -> None:
         rows.append((prefix, obj))
 
 
-def _emit(cfg: ExperimentConfig, payload: dict, csv_writer=None) -> None:
-    """Write the report: JSON of the payload, or CSV.
+def _emit(cfg: ExperimentConfig, payload: dict, csv_writer, write) -> None:
+    """Render the report, JSON of the payload or CSV, and pass it to ``write``.
 
     ``csv_writer(fileobj)`` renders the subcommand's natural table; without
     one, CSV falls back to flattened key,value rows.  JSON carries a
@@ -303,14 +308,60 @@ def _emit(cfg: ExperimentConfig, payload: dict, csv_writer=None) -> None:
             _flatten("", payload, rows)
             _write_table(buf, ["key", "value"], rows)
         text = buf.getvalue()
-    if cfg.out is None:
-        sys.stdout.write(text)
+    write(text)
+
+
+def _unwritable(path: str, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write output file: {OSError(exc.errno, exc.strerror, path)}")
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Yield the function that writes the report: to stdout, or to the file ``path``.
+
+    The file is claimed before the body runs, so a path that cannot be
+    written fails at once.  A new or regular file gets the report through a
+    temporary file beside it, with the mode ``open(path, "w")`` would leave,
+    renamed onto it once complete, so a failed run leaves it as it was.  A
+    device or a pipe that exists is written directly, once the report is done.
+    """
+    if path is None:
+        yield sys.stdout.write
         return
+    target, tmp = os.path.realpath(path), None
     try:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            st = os.stat(target)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        else:
+            if stat.S_ISDIR(st.st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            mode = stat.S_IMODE(st.st_mode) if stat.S_ISREG(st.st_mode) else None
+        if mode is not None:
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(target))
+            os.close(fd)
+            os.chmod(tmp, mode)
     except OSError as exc:
-        raise UsageError(f"cannot write output file: {exc}") from exc
+        raise _unwritable(path, exc) from exc
+
+    def write(text):
+        try:
+            with open(tmp or target, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            if tmp:
+                os.replace(tmp, target)
+        except OSError as exc:
+            raise _unwritable(path, exc) from exc
+
+    try:
+        yield write
+    finally:
+        if tmp:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -479,8 +530,9 @@ def main(argv=None) -> int:
             kappa=cfg.kappa,
         )
         grid = TimeGrid(cfg.T, cfg.steps) if cmd in _STEPPED else None
-        ok, payload, table = _RUNNERS[cmd](cfg, model, grid)
-        _emit(cfg, {"model": model.name, **payload}, table)
+        with _output(cfg.out) as write:
+            ok, payload, table = _RUNNERS[cmd](cfg, model, grid)
+            _emit(cfg, {"model": model.name, **payload}, table, write)
         return 0 if ok else 2
     except SystemExit as exc:  # argparse --help
         code = exc.code

@@ -26,9 +26,10 @@ Every estimator here runs on one ensemble kernel, which steps a batch of
 samples node by node and folds each node into a reducer: per-node sums for
 the coupled pairs, and over the start lattice one norm per node that feeds
 both C's per-(start, node) sums and each sample's running max of |X|, from
-which K follows.  No reducer keeps a node history, so memory does not grow
-with the step count N.  A sample that leaves the floats, read after the
-last step, is dropped by running its batch again without it.
+which K follows.  No reducer keeps a node history: the lattice sums hold at
+most 64 nodes of (B, L) norms, to reduce them in one call, so memory does
+not grow with the step count N.  A sample that leaves the floats, read after
+the last step, is dropped by running its batch again without it.
 """
 
 from __future__ import annotations
@@ -94,51 +95,40 @@ class _Reducer:
         return True
 
 
-class _NodeSums(_Reducer):
-    """Sums over the batch of each array of stats(v, v0) at every node: (..., N+1) arrays.
-
-    ``v`` is value(X) and ``v0`` its node-0 row, the same in every batch,
-    since every sample starts from the same points.
-    """
-
-    def __init__(self, X, N, value, stats):
-        self.value, self.stats = value, stats
-        v = value(X)
-        self.v0 = v[0]
-        self.out = [np.empty(s.shape[1:] + (N + 1,)) for s in stats(v, self.v0)]
-        self._record(0, v)
-
-    def node(self, k, X):
-        self._record(k, self.value(X))
-
-    def _record(self, k, v):
-        for total, s in zip(self.out, self.stats(v, self.v0)):
-            total[..., k] = np.add.reduce(s, axis=0)  # np.sum, minus its call overhead
-
-
-class _PairSums(_NodeSums):
+class _PairSums(_Reducer):
     """Node sums of each stat(|Delta_r|) for R coupled pairs, Delta_r = X - Y_r: (R, N+1) arrays.
 
     All R pairs share the one trajectory X.  Delta advances through the
     drift difference, so the Brownian increments never touch it: for x = y
     it stays exactly zero, and for mu = 0 it is constant bitwise.  Delta is
     held as (R, B, d), so each pair's samples stay contiguous and its node
-    sums are bitwise those of a one-pair run.
+    sums are bitwise those of a one-pair run.  Each stat also gets v0, the
+    node-0 row |x - y_r|, which is the same in every batch.
     """
 
     def __init__(self, model, dt, deltas, X, N, stats):
-        self.model, self.dt = model, dt
+        self.model, self.dt, self.stats = model, dt, stats
         self.delta = np.broadcast_to(deltas[:, None], deltas.shape[:1] + X.shape).copy()
-        super().__init__(X, N, lambda _: model.norm_state(self.delta).T, stats)
+        v = model.norm_state(self.delta).T  # (B, R)
+        self.v0 = v[0]
+        self.out = [np.empty(s.shape[1:] + (N + 1,)) for s in stats(v, self.v0)]
+        self._record(0, v)
 
     def step(self, X, mu):
         self.delta = self.delta + self.dt * (mu - self.model.mu_batch(X - self.delta))
+
+    def node(self, k, X):
+        self._record(k, self.model.norm_state(self.delta).T)
+
+    def _record(self, k, v):
+        for total, s in zip(self.out, self.stats(v, self.v0)):
+            total[..., k] = np.add.reduce(s, axis=0)  # np.sum, minus its call overhead
 
     def finite(self):
         return np.isfinite(self.delta).all(axis=(0, 2))
 
 
-class _LatticeSums(_NodeSums):
+class _LatticeSums(_Reducer):
     """Node sums of each stat(|X|, |x|) per start, and the running max of |X| per (sample, start).
 
     One norm per (sample, start, node) feeds both: the sums, (L, N+1)
@@ -146,18 +136,49 @@ class _LatticeSums(_NodeSums):
     last in ``out``, gives every sup-inside moment, K among them, once
     reduced over the starts.  Folding it elementwise per node leaves that
     reduction to one call per batch.
+
+    The norms of ``width`` nodes wait in one (B, width, L) block, whose
+    stats are then summed over the samples in one call, and ``finite()``
+    sums the nodes left after the last step.  numpy sums every column of a
+    C-contiguous block in sample order, as it sums one node's (B, L) norms,
+    so the block moves no bit; it sums a lone column (L = 1) pairwise, so
+    one start keeps one node per block.  The width is capped in nodes, so
+    memory does not grow with N, and in elements, so the block stays small.
     """
 
     def __init__(self, model, X, N, stats):
-        top = np.zeros(X.shape[:2])
+        B, L = X.shape[:2]
+        self.model, self.stats, self.N = model, stats, N
+        self.width = 1 if L == 1 else min(64, max(1, 2**15 // (B * L)))
+        self.block = np.empty((B, self.width, L))
+        self.top = np.zeros((B, L))
+        nrm = model.norm_state(X)
+        self.v0 = nrm[0]
+        self.out = [np.empty((L, N + 1)) for _ in stats(nrm, self.v0)] + [self.top]
+        self._record(0, nrm)
 
-        def value(X):
-            nrm = model.norm_state(X)  # (B, L)
-            np.maximum(top, nrm, out=top)
-            return nrm
+    def node(self, k, X):
+        self._record(k, self.model.norm_state(X))
 
-        super().__init__(X, N, value, stats)
-        self.out.append(top)
+    def _record(self, k, nrm):
+        np.maximum(self.top, nrm, out=self.top)
+        if self.width == 1:  # a block of one node needs no copy
+            self._reduce(k, nrm[:, None])
+            return
+        j = k % self.width
+        self.block[:, j] = nrm
+        if j == self.width - 1:
+            self._reduce(k + 1 - self.width, self.block)
+
+    def finite(self):
+        held = (self.N + 1) % self.width
+        if held:
+            self._reduce(self.N + 1 - held, self.block[:, :held])
+        return True
+
+    def _reduce(self, first, block):
+        for total, s in zip(self.out, self.stats(block, self.v0)):
+            total[:, first:first + block.shape[1]] = np.add.reduce(s, axis=0).T
 
 
 def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):

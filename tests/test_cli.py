@@ -15,6 +15,7 @@ from datetime import datetime
 
 import pytest
 
+import sdemodulus.cli as cli
 from sdemodulus import DriftModel
 from sdemodulus.cli import (
     ExperimentConfig,
@@ -525,6 +526,45 @@ def test_unwritable_out_exits_1_with_a_usage_error(where, why, tmp_path, capsys)
     assert captured.err.startswith("sdemod: error: cannot write output file: ")
     assert why in captured.err
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_unwritable_out_exits_1_before_the_run(where, tmp_path, monkeypatch, capsys):
+    """The output file is claimed first, so a bad --out costs no Monte Carlo."""
+
+    def runner(cfg, model, grid):
+        raise AssertionError("the runner ran before --out was checked")
+
+    monkeypatch.setitem(cli._RUNNERS, "verify-modulus", runner)
+    assert main(["verify-modulus", "--model", "zero", "--out", str(tmp_path / where)]) == 1
+    assert capsys.readouterr().err.startswith("sdemod: error: cannot write output file: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_leaves_an_existing_out_file_as_it_was(tmp_path, capsys):
+    """The report replaces --out only once complete; an estimator failure leaves no trace."""
+    out = tmp_path / "report.json"
+    out.write_bytes(b"an earlier report\n")
+    args = ["moments", "--model", "zero", "--steps", "64", "--samples", "64", "--r", "2000"]
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("sdemod: estimator failure: ")
+    assert out.read_bytes() == b"an earlier report\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_out_file_gets_the_mode_of_a_plain_open(tmp_path, capsys):
+    """A new --out file has the mode open(path, "w") gives; an existing one keeps its own."""
+    with open(tmp_path / "plain", "w"):
+        pass
+    new, kept = tmp_path / "new.json", tmp_path / "kept.json"
+    kept.write_text("")
+    kept.chmod(0o600)
+    for out in (new, kept):
+        assert main(["solve", "--model", "zero", "--steps", "4", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["model"] == "zero"
+    assert new.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert kept.stat().st_mode & 0o777 == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json", "new.json", "plain"]
 
 
 def test_verify_modulus_lattice_points_zero_exits_1_naming_the_option(capsys):

@@ -578,6 +578,38 @@ def test_ensemble_drops_exactly_the_samples_whose_own_solve_diverges():
     assert np.array_equal(np.concatenate(outs), np.stack(want))
 
 
+def _square_spread(v, v0):
+    return regularity._mean_and_spread(v ** 2.0, v0 ** 2.0)
+
+
+@pytest.mark.parametrize("stats", [regularity._mean_and_spread, _square_spread], ids=["r1", "r2"])
+@pytest.mark.parametrize(
+    "lattice, n, N",
+    [
+        ([[0.3]], 40, 5),  # one node per block
+        ([[-1.0], [0.5]], 40, 128),  # blocks of 64 nodes; the last holds node N alone
+        (np.linspace(-2.5, 2.5, 9)[:, None], 40, 128),
+        (np.linspace(-2.5, 2.5, 9)[:, None], 200, 36),  # blocks of 2**15 // (200 * 9) = 18 nodes
+        (np.linspace(-2.5, 2.5, 9)[:, None], 2000, 3),  # 2000 * 9 > 2**14: one node per block
+    ],
+    ids=["L1", "L2", "L9", "L9-width18", "L9-width1"],
+)
+def test_lattice_block_sums_are_the_per_node_sums(lattice, n, N, stats):
+    """Reducing a block of nodes at once gives, bitwise, each node's own sum over the samples."""
+    m, grid, seed = catalog_model("oscillatory1d"), TimeGrid(1.0, N), 11
+    lat = np.array(lattice)
+    assert n <= BATCH_SAMPLES  # one batch, so no merge of batch sums
+    count, sums, top = regularity._lattice_pass(m, 1.0, 9, lat, grid, seed, n, 1, stats, "blocks")
+    _, [states] = regularity._ensemble(m, lat, grid, seed, n, 1, lambda X: _States(X, N), "ref")
+    nrm = np.stack([m.norm_state(np.ascontiguousarray(states[:, k])) for k in range(N + 1)], 1)
+    want = [
+        [np.add.reduce(s, axis=0) for s in stats(nrm[:, k], nrm[0, 0])] for k in range(N + 1)
+    ]
+    assert count == n
+    assert np.array_equal(sums, np.moveaxis(np.array(want), 0, -1))
+    assert np.array_equal(top, np.max(nrm, axis=(1, 2)))
+
+
 def test_pair_whose_y_side_alone_crosses_a_cliff_is_excluded_by_delta():
     """X^x never nears the one-sided cliff, so only Delta can show that X^y went past it."""
     m = dataclasses.replace(
@@ -1062,6 +1094,16 @@ _GOLDEN_REPORTS = [
             "0x1.a36e2eb1c4400p-14", "0x0.0p+0",
         ),
         id="zero-8",
+    ),
+    pytest.param(  # one start: numpy sums a lone column pairwise, and C is not at node N
+        ("ou_nd", 2, "euclidean", 1, [0.5, 0.0], [1.0, 0.0]),
+        (
+            "0x1.a254583f80235p+10", "0x1.a847a656a7203p-1",
+            "0x1.9999999999998p-4", "0x0.0p+0",
+            "0x1.47ae147ae1480p-7", "0x0.0p+0",
+            "0x1.a36e2eb1c4000p-14", "0x0.0p+0",
+        ),
+        id="ou_nd-2-one-start",
     ),
 ]
 
