@@ -321,47 +321,64 @@ def _output(path: str | None):
 
     The file is claimed before the body runs, so a path that cannot be
     written fails at once.  A new or regular file gets the report through a
-    temporary file beside it, with the mode ``open(path, "w")`` would leave,
-    renamed onto it once complete, so a failed run leaves it as it was.  A
-    device or a pipe that exists is written directly, once the report is done.
+    temporary file beside it, renamed onto it once complete, so a failed run
+    leaves it as it was; the report gets the mode ``open(path, "w")`` would
+    leave.  Anything else that exists, a pipe or a device such as
+    /dev/stdout, is written directly once the report is done.
     """
     if path is None:
         yield sys.stdout.write
         return
-    target, tmp = os.path.realpath(path), None
     try:
-        try:
-            st = os.stat(target)
-        except FileNotFoundError:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        if stat.S_ISDIR(st.st_mode):
+            raise _unwritable(path, IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR)))
+
+        def write(text):
+            try:
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise _unwritable(path, exc) from exc
+
+        yield write
+        return
+
+    target = os.path.realpath(path)
+    try:
+        if st is None:
             umask = os.umask(0)
             os.umask(umask)
             mode = 0o666 & ~umask
+        elif os.access(target, os.W_OK):
+            mode = stat.S_IMODE(st.st_mode)
         else:
-            if stat.S_ISDIR(st.st_mode):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            mode = stat.S_IMODE(st.st_mode) if stat.S_ISREG(st.st_mode) else None
-        if mode is not None:
-            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(target))
-            os.close(fd)
-            os.chmod(tmp, mode)
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(target))
     except OSError as exc:
         raise _unwritable(path, exc) from exc
+    fh = os.fdopen(fd, "w", encoding="utf-8", newline="")
 
     def write(text):
         try:
-            with open(tmp or target, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            if tmp:
-                os.replace(tmp, target)
+            fh.write(text)
+            fh.close()
+            os.chmod(tmp, mode)
+            os.replace(tmp, target)
         except OSError as exc:
             raise _unwritable(path, exc) from exc
 
     try:
         yield write
     finally:
-        if tmp:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
+        fh.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 # -- subcommands --------------------------------------------------------------

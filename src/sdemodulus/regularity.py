@@ -138,8 +138,8 @@ class _LatticeSums(_Reducer):
     reduction to one call per batch.
 
     The norms of ``width`` nodes wait in one (B, width, L) block, whose
-    stats are then summed over the samples in one call, and ``finite()``
-    sums the nodes left after the last step.  numpy sums every column of a
+    stats are then summed over the samples in one call; the last block,
+    reduced at node N, may hold fewer.  numpy sums every column of a
     C-contiguous block in sample order, as it sums one node's (B, L) norms,
     so the block moves no bit; it sums a lone column (L = 1) pairwise, so
     one start keeps one node per block.  The width is capped in nodes, so
@@ -162,23 +162,11 @@ class _LatticeSums(_Reducer):
 
     def _record(self, k, nrm):
         np.maximum(self.top, nrm, out=self.top)
-        if self.width == 1:  # a block of one node needs no copy
-            self._reduce(k, nrm[:, None])
-            return
         j = k % self.width
         self.block[:, j] = nrm
-        if j == self.width - 1:
-            self._reduce(k + 1 - self.width, self.block)
-
-    def finite(self):
-        held = (self.N + 1) % self.width
-        if held:
-            self._reduce(self.N + 1 - held, self.block[:, :held])
-        return True
-
-    def _reduce(self, first, block):
-        for total, s in zip(self.out, self.stats(block, self.v0)):
-            total[:, first:first + block.shape[1]] = np.add.reduce(s, axis=0).T
+        if j == self.width - 1 or k == self.N:
+            for total, s in zip(self.out, self.stats(self.block[:, :j + 1], self.v0)):
+                total[:, k - j:k + 1] = np.add.reduce(s, axis=0).T
 
 
 def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):

@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import tempfile
 import warnings
 from datetime import datetime
 
@@ -565,6 +567,70 @@ def test_out_file_gets_the_mode_of_a_plain_open(tmp_path, capsys):
     assert new.stat().st_mode == (tmp_path / "plain").stat().st_mode
     assert kept.stat().st_mode & 0o777 == 0o600
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json", "new.json", "plain"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_out_to_a_pipe_is_written_directly(capsys):
+    """/dev/fd/N of a pipe, like /dev/stdout piped on, is no regular file: the report goes into it."""
+    r, w = os.pipe()
+    try:
+        assert main(["solve", "--model", "zero", "--steps", "4", "--out", f"/dev/fd/{w}"]) == 0
+    finally:
+        os.close(w)
+    with os.fdopen(r) as fh:
+        assert json.loads(fh.read())["model"] == "zero"
+    assert capsys.readouterr().err == ""
+
+
+def _unprivileged(fn):
+    """Return fn(), called without root's powers: as nobody, in a forked child, when run as root."""
+    if os.geteuid() != 0:
+        return fn()
+    pid = os.fork()
+    if pid == 0:
+        code = 99
+        try:
+            os.setgid(65534)
+            os.setuid(65534)
+            code = fn()
+        finally:
+            os._exit(code)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def test_out_needs_the_write_bits_a_plain_open_needs(monkeypatch):
+    """A read-only --out fails before the run, as open(path, "w") would; a new one is written
+    even under a umask that clears the owner's write bit, and gets the mode that umask gives."""
+
+    def runner(cfg, model, grid):
+        raise AssertionError("the runner ran before --out was checked")
+
+    monkeypatch.setitem(cli._RUNNERS, "verify-modulus", runner)
+    with tempfile.TemporaryDirectory() as where:
+        os.chmod(where, 0o777)
+        read_only, new = os.path.join(where, "read-only.json"), os.path.join(where, "new.json")
+        with open(read_only, "w") as fh:
+            fh.write("an earlier report\n")
+        os.chmod(read_only, 0o444)
+
+        def claim():
+            codes = (
+                main(["verify-modulus", "--model", "zero", "--out", read_only]),
+                main(["solve", "--model", "zero", "--steps", "4", "--out", new]),
+            )
+            return int(codes != (1, 0))
+
+        umask = os.umask(0o222)
+        try:
+            assert _unprivileged(claim) == 0
+        finally:
+            os.umask(umask)
+        with open(read_only) as fh:
+            assert fh.read() == "an earlier report\n"
+        with open(new) as fh:
+            assert json.load(fh)["model"] == "zero"
+        assert os.stat(new).st_mode & 0o777 == 0o444
+        assert sorted(os.listdir(where)) == ["new.json", "read-only.json"]
 
 
 def test_verify_modulus_lattice_points_zero_exits_1_naming_the_option(capsys):

@@ -590,9 +590,10 @@ def _square_spread(v, v0):
         ([[-1.0], [0.5]], 40, 128),  # blocks of 64 nodes; the last holds node N alone
         (np.linspace(-2.5, 2.5, 9)[:, None], 40, 128),
         (np.linspace(-2.5, 2.5, 9)[:, None], 200, 36),  # blocks of 2**15 // (200 * 9) = 18 nodes
+        (np.linspace(-2.5, 2.5, 9)[:, None], 200, 38),  # the last block holds nodes 36 to 38
         (np.linspace(-2.5, 2.5, 9)[:, None], 2000, 3),  # 2000 * 9 > 2**14: one node per block
     ],
-    ids=["L1", "L2", "L9", "L9-width18", "L9-width1"],
+    ids=["L1", "L2", "L9", "L9-width18", "L9-width18-last3", "L9-width1"],
 )
 def test_lattice_block_sums_are_the_per_node_sums(lattice, n, N, stats):
     """Reducing a block of nodes at once gives, bitwise, each node's own sum over the samples."""
