@@ -287,18 +287,32 @@ def _flatten(prefix: str, obj, rows: list) -> None:
         rows.append((prefix, obj))
 
 
+def _finite_or_null(obj):
+    """``obj`` with every float that is not finite replaced by None, JSON's null."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _emit(cfg: ExperimentConfig, payload: dict, csv_writer, write) -> None:
     """Render the report, JSON of the payload or CSV, and pass it to ``write``.
 
     ``csv_writer(fileobj)`` renders the subcommand's natural table; without
     one, CSV falls back to flattened key,value rows.  JSON carries a
-    ``generated_at`` stamp unless the run is --deterministic.
+    ``generated_at`` stamp unless the run is --deterministic.  It is strict
+    JSON (RFC 8259), which has no inf or NaN: a float that is not finite,
+    such as the margin of a check that no draw finished, the error estimate
+    of a solve with one level, or a bound that overflowed, is written as null.
     """
     if cfg.format == "json":
-        doc = dict(payload)
+        doc = _finite_or_null(payload)
         if not cfg.deterministic:
             doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         if csv_writer is not None:

@@ -13,6 +13,10 @@ increments telescope exactly in floating point.  Two consequences the tests
 rely on: with mu = 0 the computed states equal x0 + sigma W to a couple of
 ulps at every node for any N, and solving on a restriction of a path gives
 bitwise the coarse recursion (no resummed increments).
+
+A solve of one trajectory of one coordinate runs the same recursion on
+Python floats, which round like numpy's float64, so its states are bitwise
+those of the array recursion at about half the cost per step.
 """
 
 from __future__ import annotations
@@ -95,9 +99,27 @@ def _euler_steps(model: DriftModel, X: np.ndarray, dt: float, sigma_w, rows=None
     so with a short last axis (d = 2) the add runs one inner loop of length
     d per row and takes about 5x as long as with a full contiguous operand.
     ``euler_solve_many`` passes (d,) items, which its few rows broadcast.
+
+    One trajectory of one coordinate, X of shape (1, 1), steps on Python
+    floats: z = z + dt * mu and x = z + sigma W, with mu still from one
+    ``mu_batch`` call on a (1, 1) array per step and the noise read by
+    ``.item()`` from a (1,) or (1, 1) item.  Those are numpy's float64 ``*``
+    and ``+`` in numpy's order, so every state is bitwise the array path's,
+    signed zeros, inf and NaN included, and a step saves the three numpy
+    calls that cost more than its arithmetic.
     """
+    rows = repeat(None) if rows is None else rows
+    if X.shape == (1, 1):
+        z, dt = X.item(), float(dt)
+        for sw, row in zip(sigma_w, rows):
+            mu = model.mu_batch(X)
+            z = z + dt * mu.item()
+            X = np.empty((1, 1)) if row is None else row
+            X[0, 0] = z + sw.item()
+            yield mu, X
+        return
     z = X.copy()
-    for sw, row in zip(sigma_w, repeat(None) if rows is None else rows):
+    for sw, row in zip(sigma_w, rows):
         mu = model.mu_batch(X)
         X = np.multiply(dt, mu, row)  # out given by position, a little cheaper per call
         z += X

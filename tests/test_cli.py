@@ -333,6 +333,47 @@ def test_solve_tol_refines_the_grid_and_exits_2_unconverged(tol, converged, n_us
     assert payload["converged"] is converged and payload["N_used"] == n_used
 
 
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "argv, code, nulls",
+    [
+        (  # every draw diverges, so no check has a margin
+            ["check-bounds", "--model", "cubic_deterministic", "--T", "40", "--steps", "8",
+             "--samples", "3"],
+            2,
+            [("apriori", "min_margin"), ("pathwise", "min_margin"), ("growth", "min_margin")],
+        ),
+        (  # an odd step count leaves one level, so no two levels to compare
+            ["solve", "--model", "linear1d", "--x0", "1", "--steps", "7", "--tol", "1e-3"],
+            2,
+            [("est_error",)],
+        ),
+        (  # exp(T sup phi) overflows: every draw passes against an infinite bound
+            ["check-bounds", "--model", "oscillatory1d", "--T", "40", "--steps", "64",
+             "--samples", "3"],
+            0,
+            [("pathwise", "min_margin")],
+        ),
+    ],
+    ids=["check-bounds-all-diverged", "solve-one-level", "check-bounds-overflowed-bound"],
+)
+def test_a_value_that_is_not_finite_is_json_null(argv, code, nulls, capsys):
+    """JSON reports are strict (RFC 8259): a value that is not finite reads null, not Infinity."""
+    assert main(argv + ["--deterministic"]) == code
+    payload = _strict_json(capsys.readouterr().out)
+    for keys in nulls:
+        value = payload
+        for key in keys:
+            value = value[key]
+        assert value is None
+
+
 def test_unset_start_and_direction_are_zero_and_one(capsys):
     assert main(["variational", "--model", "bounded_tanh", "--d", "2", "--deterministic"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -90,13 +90,18 @@ def test_solve_many_matches_single():
     ("zero", 3), ("ou_nd", 3), ("bounded_tanh", 5),
 ])
 def test_every_row_of_a_batch_is_its_own_solve_bitwise(name, d):
-    """A path may hand out a row solved in another batch only if rows are batch-free."""
+    """A path may hand out a row solved in another batch only if rows are batch-free.
+
+    A one-coordinate row solved alone steps on floats, so the bytes, signed zeros
+    included, are compared: the last start is -0.0.
+    """
     m = catalog_model(name, d=d)
     g = TimeGrid(1.0, 64)
     x0s = np.random.default_rng(5).uniform(-2.0, 2.0, (11, m.d))
+    x0s = np.vstack([x0s, np.full(m.d, -0.0)])
     batch = euler_solve_many(m, x0s, sample_path(31, g, m.m))
     for x0, states in zip(x0s, batch):
-        assert np.array_equal(euler_solve(m, x0, sample_path(31, g, m.m)).states, states)
+        assert euler_solve(m, x0, sample_path(31, g, m.m)).states.tobytes() == states.tobytes()
 
 
 def _count_mu_batch(monkeypatch) -> list:
@@ -222,6 +227,9 @@ def _with_mu(mu):
 
 _X0S = np.array([[0.5], [-1.25], [2.0]])
 
+# Three rows step as arrays; one row steps on Python floats.
+_STARTS = (_X0S, np.array([[0.5]]))
+
 
 @pytest.mark.parametrize(
     "mu",
@@ -235,10 +243,11 @@ _X0S = np.array([[0.5], [-1.25], [2.0]])
 )
 def test_drift_of_any_array_like_gives_the_reference_states(mu):
     m = _with_mu(mu)
-    got = m.mu_batch(_X0S)
-    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == _X0S.shape
-    p = sample_path(11, TimeGrid(1.0, 64), 1)
-    assert np.array_equal(euler_solve_many(m, _X0S, p), _stepped(mu, _X0S, p))
+    for x0s in _STARTS:
+        got = m.mu_batch(x0s)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == x0s.shape
+        p = sample_path(11, TimeGrid(1.0, 64), 1)
+        assert np.array_equal(euler_solve_many(m, x0s, p), _stepped(mu, x0s, p))
 
 
 def test_drift_that_does_not_broadcast_runs_row_by_row():
@@ -250,9 +259,11 @@ def test_drift_that_does_not_broadcast_runs_row_by_row():
         return np.array([np.sum(np.sin(x))])  # shape (1,) whatever the stack
 
     p = sample_path(12, TimeGrid(1.0, 16), 1)
-    got = euler_solve_many(_with_mu(mu), _X0S, p)
-    assert calls == [(3, 1), (1,), (1,), (1,)] * 16
-    assert np.array_equal(got, _stepped(mu, _X0S, p))
+    for x0s in _STARTS:
+        calls.clear()
+        got = euler_solve_many(_with_mu(mu), x0s, p)
+        assert calls == ([x0s.shape] + [(1,)] * len(x0s)) * 16
+        assert np.array_equal(got, _stepped(mu, x0s, p))
 
 
 @pytest.mark.parametrize(
@@ -277,9 +288,11 @@ def test_drift_runs_once_per_step_through_mu_batch(mu, monkeypatch):
     monkeypatch.setattr(DriftModel, "mu_batch", counted_batch)
     N = 40
     p = sample_path(13, TimeGrid(1.0, N), 1)
-    got = euler_solve_many(_with_mu(counted), _X0S, p)
-    assert seen == {"mu": N, "mu_batch": N}
-    assert np.array_equal(got, _stepped(mu, _X0S, p))
+    for x0s in _STARTS:
+        seen.update(mu=0, mu_batch=0)
+        got = euler_solve_many(_with_mu(counted), x0s, p)
+        assert seen == {"mu": N, "mu_batch": N}
+        assert np.array_equal(got, _stepped(mu, x0s, p))
 
 
 def test_dimension_mismatch_rejected():
@@ -312,7 +325,7 @@ def test_divergence_step_is_the_first_non_finite_node_when_the_drift_recovers():
     """A drift that is finite again on non-finite input cannot hide where X left the floats.
 
     From 0 on a zero path X_n = n/8 exactly, so X_3 = 0.375 is the first state past the
-    cliff at 0.3, and the step from it makes X_4 infinite.
+    cliff at 0.3, and the step from it makes X_4 infinite, in an array or on floats.
     """
 
     def mu(x):
@@ -321,9 +334,10 @@ def test_divergence_step_is_the_first_non_finite_node_when_the_drift_recovers():
             return np.where(np.isfinite(x), np.where(x > 0.3, np.inf, 1.0), 0.0)
 
     m = dataclasses.replace(catalog_model("zero"), mu=mu)
-    with pytest.raises(DivergenceError, match="at step 4 of 8") as exc:
-        euler_solve_many(m, np.array([[0.0], [-1.0]]), zero_path(TimeGrid(1.0, 8), 1))
-    assert exc.value.step == 4
+    for x0s in ([[0.0], [-1.0]], [[0.0]]):
+        with pytest.raises(DivergenceError, match="at step 4 of 8") as exc:
+            euler_solve_many(m, x0s, zero_path(TimeGrid(1.0, 8), 1))
+        assert exc.value.step == 4
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])

@@ -845,6 +845,36 @@ def test_verify_modulus_normalizes_direction():
     assert [e.mean for e in a.empirical] == [e.mean for e in b.empirical]
 
 
+def test_verify_modulus_golden_values_with_a_one_sample_batch():
+    """Every value repeats when the last ladder batch holds one sample.
+
+    At BATCH_SAMPLES + 1 samples sample 2048 runs alone, a (1, 1) state that
+    steps on Python floats; the rest step as arrays.  From 0.8 over T = 0.2 the
+    distance grows, so each rung's sup sits past node 1, where every path counts.
+    """
+    rep = verify_modulus(
+        catalog_model("oscillatory1d"), [0.8], [1.0], (1e-1, 1e-2, 1e-3), 1.0, 1.5,
+        TimeGrid(0.2, 16), BATCH_SAMPLES + 1, 7, x_grid_points=3,
+    )
+    assert [(e.mean, e.std_error, e.n_samples) for e in rep.empirical] == [
+        (0.10089901766662551, 2.5530406040955295e-05, 2049),
+        (0.010107436287866325, 2.8967443648125e-06, 2049),
+        (0.0010108411216309928, 2.844858020390966e-07, 2049),
+    ]
+    assert (rep.constants.K, rep.constants.C) == (1186301592233100.2, 2.5)
+
+
+def test_ensemble_batch_of_one_sample_is_its_array_solve_bitwise():
+    """The lone sample of the last batch steps on floats, to the bits of a two-row array solve."""
+    m, grid, seed, n = catalog_model("oscillatory1d"), TimeGrid(1.0, 16), 5, BATCH_SAMPLES + 1
+    count, outs = regularity._ensemble(
+        m, np.array([0.8]), grid, seed, n, 1, lambda X: _States(X, grid.N), "reference"
+    )
+    assert count == n and outs[-1].shape == (1, grid.N + 1, 1)
+    want = euler_solve_many(m, [[0.8], [-0.3]], _own_path(seed, n - 1, grid))[0]
+    assert outs[-1][0].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "direction, plain", [([1e-200, 0.0], [1.0, 0.0]), ([1e200, 1e200], [1.0, 1.0])],
     ids=["underflow", "overflow"],
