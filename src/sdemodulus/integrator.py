@@ -174,10 +174,14 @@ def solve_adaptive(model: DriftModel, x0, fine_path: BrownianPath, tol: float) -
     shared nodes in the state norm.  The first comparison at or below
     ``tol`` wins; if even the finest grid does not settle, the finest
     solution is returned flagged unconverged.  A divergent intermediate
-    level counts as an infinite distance rather than aborting.
+    level counts as an infinite distance rather than aborting.  An odd
+    step count leaves one level and nothing to compare, so it raises
+    ValueError before any solve.
     """
     _scalar("tol", tol, positive=True)
     N_fine = fine_path.grid.N
+    if N_fine % 2:
+        raise ValueError(f"steps must be even to compare two resolutions, got {N_fine}")
     base = N_fine
     while base % 2 == 0:
         base //= 2

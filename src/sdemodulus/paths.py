@@ -119,8 +119,11 @@ def derive_seed(seed: int, tag: int) -> int:
 def sample_path(seed: int, grid: TimeGrid, m: int) -> BrownianPath:
     """Draw one Brownian path on the grid: N(0, dt) increments from substream (seed, 0)."""
     m = _count("m", m, 1)
-    slabs = brownian_slabs([substream(seed, 0)], grid, m)
-    values = np.concatenate([np.zeros((1, 1, m)), *slabs], axis=1)[0]
+    values = np.zeros((grid.N + 1, m))
+    done = 1
+    for block in brownian_slabs([substream(seed, 0)], grid, m):
+        values[done : done + block.shape[1]] = block[0]
+        done += block.shape[1]
     return BrownianPath(grid, values, int(seed))
 
 
@@ -173,11 +176,16 @@ def brownian_slabs(gens, grid: TimeGrid, m: int):
     increments are summed left to right from W(0) = 0, one slab after the
     other, so every path is bitwise the one ``sample_path`` gives for its
     generator.
+
+    Every slab is the same buffer, allocated once per call and refilled (the
+    last, shorter slab is a view of its first steps), so one slab is alive
+    however long the path.  A slab is valid until the caller asks for the
+    next one: a caller that keeps any of it must copy it.
     """
     sqdt = math.sqrt(grid.dt)
+    buf = np.empty((len(gens), min(_SLAB_STEPS, grid.N), m))
     for done in range(0, grid.N, _SLAB_STEPS):
-        S = min(_SLAB_STEPS, grid.N - done)
-        block = np.empty((len(gens), S, m))
+        block = buf[:, : grid.N - done]
         for bi, g in enumerate(gens):
             g.standard_normal(out=block[bi])
         block *= sqdt
@@ -200,8 +208,14 @@ def brownian_sup_values(
 
     ``slab_sup`` maps a (batch, steps, m) slab of path values to the
     (batch,) sup of the statistic over the slab's nodes.  It is called on
-    W(0) = 0 first and then slab by slab, and the running max of its values
-    is returned, so the statistic must depend on each node's value alone.
+    W(0) = 0 first, once for the whole batch, and then chunk by chunk, slab
+    by slab, and the running max of its values is returned, so the
+    statistic must depend on each node's value alone and reduce each sample
+    on its own.  A chunk is ``max(1, 2**17 // (S m))`` samples of the batch,
+    S = min(_SLAB_STEPS, N): its slab holds at most 1 MiB of floats, 128
+    samples at m = 1 and N >= 1024, so it stays in cache while ``slab_sup``
+    reads it.  Each chunk draws its own samples' slabs, so every sup is the
+    one a whole-batch slab gives.
 
     The estimators pass ``lambda w: np.max(norm(w), axis=1)``, or for a
     scalar path ``_abs_sup``, which takes max(max W, -min W) and no norm at
@@ -212,11 +226,16 @@ def brownian_sup_values(
     under- or overflows, and the shortcut gives the exact value.
     """
 
+    chunk = max(1, 2**17 // (min(_SLAB_STEPS, grid.N) * m))
+
     def one_batch(lo: int, hi: int) -> np.ndarray:
-        gens = [substream(seed, i) for i in range(lo, hi)]
         best = np.asarray(slab_sup(np.zeros((hi - lo, 1, m))), dtype=float)
-        for block in brownian_slabs(gens, grid, m):
-            np.maximum(best, slab_sup(block), out=best)
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            gens = [substream(seed, i) for i in range(a, b)]
+            part = best[a - lo : b - lo]
+            for block in brownian_slabs(gens, grid, m):
+                np.maximum(part, slab_sup(block), out=part)
         return best
 
     return np.concatenate(map_batches(one_batch, n_samples, threads))

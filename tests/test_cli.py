@@ -333,6 +333,25 @@ def test_solve_tol_refines_the_grid_and_exits_2_unconverged(tol, converged, n_us
     assert payload["converged"] is converged and payload["N_used"] == n_used
 
 
+def test_solve_tol_with_odd_steps_is_a_usage_error(capsys):
+    """An odd step count leaves one level and nothing to compare: exit 1 before any solve."""
+    argv = ["solve", "--model", "linear1d", "--x0", "1", "--steps", "7", "--tol", "1e-3"]
+    assert main(argv + ["--deterministic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "steps must be even" in captured.err
+
+
+def test_check_bounds_counts_a_bound_that_left_the_floats_as_a_violation(capsys):
+    """exp(T sup phi) overflows at T = 40, so no draw's pathwise bound checks anything."""
+    argv = ["check-bounds", "--model", "oscillatory1d", "--T", "40", "--steps", "64",
+            "--samples", "3", "--deterministic"]
+    assert main(argv) == 2
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["pathwise"]["violations"] == 3 and payload["pass"] is False
+    assert payload["diverged"] == 0
+
+
 def _strict_json(text: str):
     def reject(name):
         raise ValueError(f"not strict JSON: {name}")
@@ -349,19 +368,20 @@ def _strict_json(text: str):
             2,
             [("apriori", "min_margin"), ("pathwise", "min_margin"), ("growth", "min_margin")],
         ),
-        (  # an odd step count leaves one level, so no two levels to compare
-            ["solve", "--model", "linear1d", "--x0", "1", "--steps", "7", "--tol", "1e-3"],
+        (  # dt x0^2 = 3 on the 9-step level, which diverges, so the levels have no distance
+            ["solve", "--model", "cubic_deterministic", "--x0", "1", "--T", "27", "--steps", "18",
+             "--tol", "1e-3"],
             2,
             [("est_error",)],
         ),
-        (  # exp(T sup phi) overflows: every draw passes against an infinite bound
+        (  # exp(T sup phi) overflows: an infinite bound checks nothing, so every draw fails
             ["check-bounds", "--model", "oscillatory1d", "--T", "40", "--steps", "64",
              "--samples", "3"],
-            0,
+            2,
             [("pathwise", "min_margin")],
         ),
     ],
-    ids=["check-bounds-all-diverged", "solve-one-level", "check-bounds-overflowed-bound"],
+    ids=["check-bounds-all-diverged", "solve-divergent-level", "check-bounds-overflowed-bound"],
 )
 def test_a_value_that_is_not_finite_is_json_null(argv, code, nulls, capsys):
     """JSON reports are strict (RFC 8259): a value that is not finite reads null, not Infinity."""

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import sdemodulus.integrator as integrator
 from sdemodulus import (
     DivergenceError,
     DriftModel,
@@ -345,6 +346,15 @@ def test_solve_adaptive_rejects_a_tol_outside_0_inf(tol):
     m = catalog_model("linear1d")
     with pytest.raises(ValueError, match="^tol must be finite and positive"):
         solve_adaptive(m, np.array([0.5]), sample_path(0, TimeGrid(1.0, 8), 1), tol)
+
+
+@pytest.mark.parametrize("N", [1, 7])
+def test_solve_adaptive_rejects_an_odd_step_count_before_any_solve(N, monkeypatch):
+    """An odd N is its own coarsest level, so there is nothing to compare."""
+    m = catalog_model("linear1d")
+    monkeypatch.setattr(integrator, "euler_solve", lambda *a: pytest.fail("a level was solved"))
+    with pytest.raises(ValueError, match=f"^steps must be even .*, got {N}$"):
+        solve_adaptive(m, np.array([0.5]), sample_path(0, TimeGrid(1.0, N), 1), 1e-3)
 
 
 def test_restriction_consistency_bitwise():

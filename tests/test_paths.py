@@ -32,7 +32,7 @@ from sdemodulus import (
     substream,
     zero_path,
 )
-from sdemodulus.paths import _abs_sup, brownian_slabs, brownian_sup_values
+from sdemodulus.paths import BATCH_SAMPLES, _abs_sup, brownian_slabs, brownian_sup_values
 
 
 # -- grids and paths ----------------------------------------------------------
@@ -72,6 +72,21 @@ def test_sample_path_is_one_left_to_right_sum(N, m):
     incs = substream(21, 0).standard_normal((N, m)) * math.sqrt(grid.dt)
     want = np.concatenate([np.zeros((1, m)), np.cumsum(incs, axis=0)])
     assert np.array_equal(sample_path(21, grid, m).values, want)
+
+
+@pytest.mark.parametrize("N", [1025, 2049])
+def test_slabs_are_one_buffer_and_copied_slabs_are_sample_path(N):
+    """Every slab of one stream is the same buffer; copied slab by slab, row 0 is sample_path."""
+    grid, m = TimeGrid(1.0, N), 2
+    slabs = brownian_slabs([substream(17, i) for i in range(3)], grid, m)
+    first = next(slabs)
+    rows = [first[0].copy()]
+    for block in slabs:
+        assert np.shares_memory(block, first)
+        assert block.shape[1] == min(1024, N - 1024 * len(rows))
+        rows.append(block[0].copy())
+    want = sample_path(17, grid, m).values
+    assert np.array_equal(np.concatenate([np.zeros((1, m)), *rows]), want)
 
 
 def test_sup_values_take_the_path_of_sample_path():
@@ -326,7 +341,7 @@ def test_scalar_sup_is_the_node_sup_of_every_norm_bitwise(N):
 
     def node_values(i):
         slabs = brownian_slabs([substream(seed, i)], grid, 1)
-        return np.concatenate([np.zeros((1, 1)), *(block[0] for block in slabs)])
+        return np.concatenate([np.zeros((1, 1)), *(block[0].copy() for block in slabs)])
 
     w0, w1, w2048 = sample_path(seed, grid, 1).values, node_values(1), node_values(2048)
     sups = brownian_sup_values(seed, grid, 1, _abs_sup, 2049)
@@ -356,6 +371,52 @@ def test_scalar_estimators_evaluate_no_norm(monkeypatch):
     assert estimate_poly_moment(1.0, [[2.0]], g, 20, seed=4).mean > 0.0
     with pytest.raises(AssertionError, match="a norm was evaluated"):
         estimate_poly_moment(1.0, [[1.0, 0.0]], g, 20, seed=4)
+
+
+_SIGMA3 = [[1.0, 0.3, -0.2], [0.1, 0.8, 0.5], [-0.4, 0.2, 1.1]]
+_SIGMA5 = [
+    [0.9, -0.1, 0.2, 0.0, 0.3],
+    [0.4, 1.2, -0.3, 0.1, 0.0],
+    [-0.2, 0.5, 0.7, 0.6, -0.1],
+    [0.1, 0.0, -0.4, 1.0, 0.2],
+    [0.3, -0.6, 0.1, 0.2, 0.8],
+]
+
+
+@pytest.mark.parametrize(
+    "run, mean, std_error",
+    [
+        (
+            lambda g, n, t: estimate_poly_moment(1.5, _SIGMA3, g, n, seed=41, threads=t),
+            "0x1.a06c00c129e3cp+1",
+            "0x1.34c70d6c5fbd5p-5",
+        ),
+        (
+            lambda g, n, t: estimate_poly_moment(
+                2.0, _SIGMA5, g, n, seed=42, norm_state=NormSpec("max"), threads=t
+            ),
+            "0x1.255ac64081b77p+2",
+            "0x1.d4d928bdcb61ep-5",
+        ),
+        (
+            lambda g, n, t: estimate_exp_moment(0.5, 1.2, g, 2, n, seed=43, threads=t),
+            "0x1.5dcfdec59fc40p+1",
+            "0x1.f3de3c3dc39b1p-6",
+        ),
+    ],
+    ids=["poly-dense-3x3", "poly-dense-5x5-max", "exp-m2"],
+)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_moment_is_golden_where_a_chunk_a_batch_and_a_slab_end(run, mean, std_error, threads):
+    """Hex values recorded while each batch's sups were taken from whole-batch slabs.
+
+    At BATCH_SAMPLES + 1 samples the second batch, and so its one chunk,
+    holds a single sample; at N = 1025 the last slab is a single step.  A
+    dense sigma sends every slab through a matmul, whose bits BLAS may
+    choose by shape.
+    """
+    est = run(TimeGrid(1.0, 1025), BATCH_SAMPLES + 1, threads)
+    assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -545,7 +545,8 @@ class _States(regularity._Reducer):
 def _own_path(seed, i, grid):
     """Sample i's driving path in an ensemble on ``seed``, as one BrownianPath."""
     slabs = brownian_slabs([substream(seed, i)], grid, 1)
-    return BrownianPath(grid, np.concatenate([np.zeros((1, 1, 1)), *slabs], axis=1)[0], seed)
+    values = [np.zeros((1, 1)), *(block[0].copy() for block in slabs)]
+    return BrownianPath(grid, np.concatenate(values), seed)
 
 
 def test_ensemble_drops_exactly_the_samples_whose_own_solve_diverges():
@@ -670,6 +671,40 @@ def test_peak_memory_grows_only_by_the_node_accumulators():
             lambda: run(TimeGrid(1.0, 256))
         )
         assert growth <= 12 * 8 * L * (4096 - 256), (L, growth)
+
+
+_SLAB_BYTES = 2048 * 1024 * 8  # one (2048, 1024, 1) slab of node values
+
+
+def test_a_sup_moment_holds_a_cache_sized_chunk_not_a_batch_slab():
+    """2048 samples at N = 2048 take the sup in chunks of 128 samples: about 1 MiB of path.
+
+    A whole-batch slab is 16 MiB, and two alive at once are 32 MiB.  Besides
+    the chunk's slab, the run keeps a few (n,) arrays of sups.
+    """
+    n, grid = 2048, TimeGrid(1.0, 2048)
+    estimate_poly_moment(1.0, [[1.0]], TimeGrid(1.0, 8), 2, 0)  # first-call allocations
+    peak = _peak_bytes(lambda: estimate_poly_moment(1.0, [[1.0]], grid, n, 3))
+    assert peak - 4 * n * 8 < 4 * 2**20, peak
+
+
+def test_an_ensemble_pass_holds_one_slab():
+    """One rung over 2048 samples at N = 2048 holds one 16 MiB slab of paths, not two.
+
+    Its own state (substreams, the per-step arrays, the node sums) is what
+    the same pass holds at N = 4, where a slab is 4 steps long.
+    """
+    m = catalog_model("oscillatory1d")
+
+    def run(N):
+        regularity._pair_sums(
+            m, [0.5], [[0.4]], TimeGrid(1.0, N), 0, 2048, regularity._mean_and_spread, 1, "pair"
+        )
+
+    run(8)  # first-call allocations are not the kernel's
+    state = _peak_bytes(lambda: run(4))
+    peak = _peak_bytes(lambda: run(2048))
+    assert peak < 1.5 * _SLAB_BYTES + state, (peak, state)
 
 
 # -- constants -----------------------------------------------------------------------
