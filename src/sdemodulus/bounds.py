@@ -160,6 +160,7 @@ def apriori_bound(model: DriftModel, xi, path: BrownianPath) -> AprioriBound:
     bound = V(xi) * exp(T * sup_n phi(W(t_n))) + sup_n |sigma W(t_n)|,
     compared with sup_n |X(t_n)| at slack 1 + 1e-6.  The Euler solution
     stands in for the exact one, so the slack also absorbs discretization.
+    A bound that is not finite holds against anything, so it is not ok.
     """
     xi = _points(xi, model.d, "xi")
     _check_noise(model, path)
@@ -169,4 +170,5 @@ def apriori_bound(model: DriftModel, xi, path: BrownianPath) -> AprioriBound:
     bound = v0 * _exp(path.grid.T * sup_phi_w) + sup_sigma_w
     sol = euler_solve(model, xi, path)
     sup_sol = float(np.max(model.norm_state(sol.states)))
-    return AprioriBound(bound=bound, sup_solution=sup_sol, ok=sup_sol <= bound * (1.0 + 1e-6))
+    ok = math.isfinite(bound) and sup_sol <= bound * (1.0 + 1e-6)
+    return AprioriBound(bound=bound, sup_solution=sup_sol, ok=ok)

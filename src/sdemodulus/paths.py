@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-BATCH_SAMPLES = 2048  # samples per Monte Carlo batch; fixed so results never depend on threading
+BATCH_SAMPLES = 2048  # samples per ensemble batch; fixed so results never depend on threading
 _SLAB_STEPS = 1024  # time steps generated per RNG call block
 
 
@@ -152,16 +152,17 @@ def _check_noise(model: DriftModel, path: BrownianPath) -> None:
 # -- Monte Carlo machinery -------------------------------------------------
 
 
-def map_batches(fn, n_samples: int, threads: int = 1) -> list:
-    """Run fn(lo, hi) over the fixed batch plan [lo, hi), optionally on a thread pool.
+def map_batches(fn, n_samples: int, batch: int, threads: int = 1) -> list:
+    """Run fn(lo, hi) over batches [lo, hi) of ``batch`` samples, optionally on a thread pool.
 
     ``n_samples`` (>= 2: one sample has no standard error) and ``threads`` are checked first.
-    Partial results come back in batch order regardless of which worker
-    produced them, so downstream reductions are bitwise reproducible.
+    The caller fixes ``batch``, never from ``threads``, and partial results
+    come back in batch order regardless of which worker produced them, so
+    downstream reductions are bitwise reproducible at every thread count.
     """
     n_samples = _count("n_samples", n_samples, 2)
     threads = _count("threads", threads, 1)
-    ranges = [(lo, min(lo + BATCH_SAMPLES, n_samples)) for lo in range(0, n_samples, BATCH_SAMPLES)]
+    ranges = [(lo, min(lo + batch, n_samples)) for lo in range(0, n_samples, batch)]
     if threads == 1 or len(ranges) == 1:
         return [fn(lo, hi) for lo, hi in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -208,14 +209,14 @@ def brownian_sup_values(
 
     ``slab_sup`` maps a (batch, steps, m) slab of path values to the
     (batch,) sup of the statistic over the slab's nodes.  It is called on
-    W(0) = 0 first, once for the whole batch, and then chunk by chunk, slab
-    by slab, and the running max of its values is returned, so the
+    W(0) = 0 first, once for the whole batch, and then slab by slab, and
+    the running max of its values is returned, so the
     statistic must depend on each node's value alone and reduce each sample
-    on its own.  A chunk is ``max(1, 2**17 // (S m))`` samples of the batch,
-    S = min(_SLAB_STEPS, N): its slab holds at most 1 MiB of floats, 128
+    on its own.  No reduction crosses samples, so a batch is as small as
+    cache wants it: ``min(BATCH_SAMPLES, max(1, 2**17 // (S m)))`` samples,
+    S = min(_SLAB_STEPS, N), whose slab holds at most 1 MiB of floats, 128
     samples at m = 1 and N >= 1024, so it stays in cache while ``slab_sup``
-    reads it.  Each chunk draws its own samples' slabs, so every sup is the
-    one a whole-batch slab gives.
+    reads it.  Every sup is the one a batch of any other size gives.
 
     The estimators pass ``lambda w: np.max(norm(w), axis=1)``, or for a
     scalar path ``_abs_sup``, which takes max(max W, -min W) and no norm at
@@ -226,19 +227,16 @@ def brownian_sup_values(
     under- or overflows, and the shortcut gives the exact value.
     """
 
-    chunk = max(1, 2**17 // (min(_SLAB_STEPS, grid.N) * m))
+    batch = min(BATCH_SAMPLES, max(1, 2**17 // (min(_SLAB_STEPS, grid.N) * m)))
 
     def one_batch(lo: int, hi: int) -> np.ndarray:
         best = np.asarray(slab_sup(np.zeros((hi - lo, 1, m))), dtype=float)
-        for a in range(lo, hi, chunk):
-            b = min(a + chunk, hi)
-            gens = [substream(seed, i) for i in range(a, b)]
-            part = best[a - lo : b - lo]
-            for block in brownian_slabs(gens, grid, m):
-                np.maximum(part, slab_sup(block), out=part)
+        gens = [substream(seed, i) for i in range(lo, hi)]
+        for block in brownian_slabs(gens, grid, m):
+            np.maximum(best, slab_sup(block), out=best)
         return best
 
-    return np.concatenate(map_batches(one_batch, n_samples, threads))
+    return np.concatenate(map_batches(one_batch, n_samples, batch, threads))
 
 
 def _abs_sup(w: np.ndarray) -> np.ndarray:

@@ -44,6 +44,7 @@ from .errors import EstimatorError
 from .integrator import _euler_steps
 from .model import DriftModel, _count, _points, _scalar
 from .paths import (
+    BATCH_SAMPLES,
     MCEstimate,
     TimeGrid,
     _mc_from_samples,
@@ -220,7 +221,7 @@ def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):
             indices = indices[alive]
         return 0, None
 
-    parts = [p for p in map_batches(one_batch, n_samples, threads) if p[0]]
+    parts = [p for p in map_batches(one_batch, n_samples, BATCH_SAMPLES, threads) if p[0]]
     count = sum(n for n, _ in parts)
     _check_exclusions(count, n_samples, what)
     return count, [out for _, out in parts]

@@ -15,8 +15,8 @@ differences of two coupled solves converge to it at rate O(eps).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "VariationalPath",
     "GrowthBound",
     "PathwiseBound",
-    "FULL",
     "variational_solve",
     "finite_difference_profile",
     "growth_bound_check",
@@ -37,26 +36,19 @@ __all__ = [
     "variational_to_csv",
 ]
 
-FULL = "full"
-
 
 @dataclass(frozen=True)
 class VariationalPath:
-    """Derivative values at the grid nodes.
-
-    ``dirs`` has shape (N+1, d) when a single direction h was propagated and
-    (N+1, d, d) when ``direction == "full"`` (the whole Jacobian, columns are
-    the propagated basis vectors).
-    """
+    """Derivative values D(t_n) h at the grid nodes, of shape (N+1, d), for the direction h."""
 
     grid: TimeGrid
     dirs: np.ndarray
-    direction: Union[np.ndarray, str]
+    direction: np.ndarray
 
     def __post_init__(self):
         dirs = np.asarray(self.dirs, dtype=float)
-        if dirs.shape[0] != self.grid.N + 1 or dirs.ndim not in (2, 3):
-            raise ValueError(f"dirs must have shape (N+1, d) or (N+1, d, d), got {dirs.shape}")
+        if dirs.ndim != 2 or dirs.shape[0] != self.grid.N + 1:
+            raise ValueError(f"dirs must have shape (N+1, d), got {dirs.shape}")
         dirs = dirs.copy()
         dirs.setflags(write=False)
         object.__setattr__(self, "dirs", dirs)
@@ -65,32 +57,23 @@ class VariationalPath:
     def d(self) -> int:
         return self.dirs.shape[1]
 
-    @property
-    def full(self) -> bool:
-        return self.dirs.ndim == 3
-
 
 def variational_solve(model: DriftModel, sol: SolutionPath, h) -> VariationalPath:
-    """Propagate a direction (or, with h="full", the identity) along a solution.
+    """Propagate the direction h along a solution.
 
     One direction on a one-coordinate model steps on Python floats: a 1x1
     ``jac @ cur`` is one rounded product, so the bits are numpy's, and a step
     costs about 240 ns instead of 3500 ns (``oscillatory1d``, N = 1024, traced
     on a 2-core Xeon).  ``0.0 +`` keeps the +0.0 that numpy's matmul returns
     for a -0.0 product.  For d >= 2 numpy's small matmul (BLAS, FMA) does not
-    round like a left-to-right sum, so that case and ``"full"`` stay on numpy.
+    round like a left-to-right sum, so that case stays on numpy.
     """
     if sol.d != model.d:
         raise ValueError(f"solution dimension {sol.d} != model dimension {model.d}")
     N = sol.grid.N
     dt = sol.grid.dt
     jacs = model.mu_jac_batch(sol.states)  # (N+1, d, d), staircase coefficients
-    if isinstance(h, str):
-        if h != FULL:
-            raise ValueError(f'direction must be a vector or "full", got {h!r}')
-        cur = np.eye(model.d)
-    else:
-        cur = _points(h, model.d, "h")
+    cur = _points(h, model.d, "h")
     out = np.empty((N + 1,) + cur.shape)
     out[0] = cur
     if cur.shape == (1,):
@@ -104,7 +87,7 @@ def variational_solve(model: DriftModel, sol: SolutionPath, h) -> VariationalPat
         with np.errstate(over="ignore", invalid="ignore"):
             for jac, row in zip(jacs[:-1], out[1:]):
                 cur = np.add(cur, dt * (jac @ cur), out=row)
-    return VariationalPath(sol.grid, out, h if isinstance(h, str) else out[0].copy())
+    return VariationalPath(sol.grid, out, out[0].copy())
 
 
 def finite_difference_profile(
@@ -140,8 +123,7 @@ def growth_bound_check(model: DriftModel, sol: SolutionPath, var: VariationalPat
     """Check |dirs[n]| <= |h| exp(t_n * max_{k<=n} phi_state(states[k])) at all nodes.
 
     At n = 0 both sides equal |h|, so that node is checked as an equality
-    (with slack) and excluded from the reported margin.  In full mode every
-    canonical basis column is checked.
+    (with slack) and excluded from the reported margin.
     """
     if not model.d == sol.d == var.d:
         raise ValueError(f"model has d={model.d}, solution d={sol.d}, variational path d={var.d}")
@@ -149,16 +131,10 @@ def growth_bound_check(model: DriftModel, sol: SolutionPath, var: VariationalPat
         raise GridMismatchError("solution and variational path live on different grids")
     phis = model.phi_state(sol.states)  # (N+1,)
     growth = np.exp(np.minimum(np.maximum.accumulate(phis) * sol.grid.times(), 709.0))
-    if var.full:
-        lhs = model.norm_state(np.swapaxes(var.dirs, 1, 2))  # (N+1, d): column norms
-        h_norms = model.norm_state(np.eye(model.d))  # (d,)
-        rhs = growth[:, None] * h_norms[None, :]
-    else:
-        # Anchor the right side to the requested direction h, not dirs[0]:
-        # a corrupted dirs array must not rescale its own budget.
-        lhs = model.norm_state(var.dirs)[:, None]
-        h = np.asarray(var.direction, dtype=float)
-        rhs = (growth * float(model.norm_state(h)))[:, None]
+    lhs = model.norm_state(var.dirs)
+    # Anchor the right side to the requested direction h, not dirs[0]:
+    # a corrupted dirs array must not rescale its own budget.
+    rhs = growth * float(model.norm_state(np.asarray(var.direction, dtype=float)))
     ok = bool(np.all(lhs <= rhs * (1.0 + 1e-9)))
     margin = float(np.min(rhs[1:] - lhs[1:]))
     return GrowthBound(ok=ok, margin=margin)
@@ -184,7 +160,8 @@ def pathwise_distance_bound(
 
     all solves driven by the same path.  A finite u-grid can only lower the
     max, so on a failed comparison the grid is refined once (doubled, keeping
-    the original points) before the verdict.
+    the original points) before the verdict.  An rhs that is not finite holds
+    against anything, so it is not ok.
     """
     u_grid = _count("u_grid", u_grid, 2)  # both endpoints
     x = _points(x, model.d, "x")
@@ -207,11 +184,10 @@ def pathwise_distance_bound(
     if lhs > rhs * (1.0 + 1e-6):
         used = 2 * u_grid - 1  # doubled resolution, supersedes the original points
         rhs = max(rhs, segment_rhs(euler_solve_many(model, segment(used), path)))
-    return PathwiseBound(lhs=lhs, rhs=rhs, ok=lhs <= rhs * (1.0 + 1e-6), u_grid_used=used)
+    ok = math.isfinite(rhs) and lhs <= rhs * (1.0 + 1e-6)
+    return PathwiseBound(lhs=lhs, rhs=rhs, ok=ok, u_grid_used=used)
 
 
 def variational_to_csv(var: VariationalPath, fileobj) -> None:
-    """Write a single-direction variational path as CSV with columns t, D_1..D_d."""
-    if var.full:
-        raise ValueError("CSV export is defined for single-direction paths")
+    """Write a variational path as CSV with columns t, D_1..D_d."""
     _write_series(fileobj, var.grid, "D", var.dirs)

@@ -7,6 +7,7 @@ Monte Carlo estimator must raise before it builds a single substream.  The
 estimators' ``n_samples >= 2`` rule is checked the same way.  The count
 table does the same for arguments that must be whole numbers >= a bound, and
 the array table for arrays that must be finite and of the right width.
+The last table holds the remaining rejections, each with its whole message.
 """
 
 import dataclasses
@@ -27,7 +28,8 @@ from sdemodulus.bounds import (
     power_sum_bound,
 )
 from sdemodulus.cli import ExperimentConfig
-from sdemodulus.integrator import SolutionPath, solve_adaptive
+from sdemodulus.errors import GridMismatchError
+from sdemodulus.integrator import SolutionPath, euler_solve, solve_adaptive
 from sdemodulus.model import (
     catalog_model,
     check_derivative_growth,
@@ -57,7 +59,13 @@ from sdemodulus.regularity import (
     theoretical_constant,
     verify_modulus,
 )
-from sdemodulus.variational import finite_difference_profile, pathwise_distance_bound
+from sdemodulus.variational import (
+    VariationalPath,
+    finite_difference_profile,
+    growth_bound_check,
+    pathwise_distance_bound,
+    variational_solve,
+)
 
 _M = catalog_model("oscillatory1d")
 _G = TimeGrid(1.0, 8)
@@ -173,8 +181,8 @@ _COUNTS = [
     ("estimate_exp_moment", "threads", 1,
      lambda v: estimate_exp_moment(1.0, 1.0, _G, 1, 16, 0, threads=v)),
     ("restrict", "coarse_N", 1, lambda v: restrict(_PATH, v)),
-    ("map_batches", "n_samples", 2, lambda v: map_batches(_never, v)),
-    ("map_batches", "threads", 1, lambda v: map_batches(_never, 16, v)),
+    ("map_batches", "n_samples", 2, lambda v: map_batches(_never, v, 2048)),
+    ("map_batches", "threads", 1, lambda v: map_batches(_never, 16, 2048, v)),
     ("ball_lattice", "points_per_axis", 1, lambda v: ball_lattice(_M, 1.0, v)),
     ("estimate_K", "x_grid_points", 1,
      lambda v: estimate_K(_M, 1.5, 1.0, _G, 16, 0, x_grid_points=v)),
@@ -242,11 +250,47 @@ def test_a_nan_in_an_array_argument_raises_by_name(call, name, no_substreams):
          "initial must have shape (1,)"),
         (lambda: BrownianPath(_G, np.zeros((9, 0)), 0),
          "values must have shape (n, k >= 1) with n >= 1"),
+        (lambda: SolutionPath(_G, np.zeros((8, 1)), [0.0], 0),
+         "states must have shape (N+1, d) = (9, d)"),
+        (lambda: dataclasses.replace(_M, sigma=[[1.0], [1.0]]), "sigma must have shape (1, 1)"),
+        (lambda: VariationalPath(_G, np.zeros((9, 1, 1)), [1.0]),
+         "dirs must have shape (N+1, d)"),
     ],
-    ids=["jacobian_fd_error", "lyapunov_grad_fd_error", "SolutionPath", "BrownianPath"],
+    ids=["jacobian_fd_error", "lyapunov_grad_fd_error", "SolutionPath", "BrownianPath",
+         "SolutionPath-states", "DriftModel-sigma", "VariationalPath-dirs"],
 )
 def test_an_array_argument_of_the_wrong_width_raises_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}, got"):
+        call()
+
+
+_SOL = euler_solve(_M, [0.5], _PATH)
+
+# (function, call, the error it raises, its whole message)
+_REJECTIONS = [
+    ("discrete_gronwall_bound", lambda: discrete_gronwall_bound(math.nan, 1.0, 2), ValueError,
+     "alpha must be finite, got nan"),
+    ("discrete_gronwall_check-alpha", lambda: discrete_gronwall_check([1.0], math.inf, 1.0),
+     ValueError, "alpha must be finite, got inf"),
+    ("discrete_gronwall_check-f", lambda: discrete_gronwall_check([1.0, math.nan], 1.0, 1.0),
+     ValueError, "sequence entries must not be NaN"),
+    ("power_sum_bound", lambda: power_sum_bound(1.0, [1.0, math.inf]), ValueError,
+     "sequence entries must be finite"),
+    ("log_monotone_shifted_check", lambda: log_monotone_shifted_check(1.0, 0.5, 2.0), ValueError,
+     "need 1 <= a <= b, got a=0.5, b=2.0"),
+    ("variational_solve", lambda: variational_solve(catalog_model("ou_nd", 2), _SOL, [1.0, 0.0]),
+     ValueError, "solution dimension 1 != model dimension 2"),
+    ("growth_bound_check",
+     lambda: growth_bound_check(_M, _SOL, VariationalPath(TimeGrid(2.0, 8), np.ones((9, 1)), [1.0])),
+     GridMismatchError, "solution and variational path live on different grids"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [pytest.param(c, e, msg, id=fn) for fn, c, e, msg in _REJECTIONS]
+)
+def test_a_rejected_argument_raises_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
 

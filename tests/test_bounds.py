@@ -35,6 +35,11 @@ def test_gronwall_bound_beta_zero():
     assert discrete_gronwall_bound(1.0, 0.0, 5) == (1.0, 1.0)
 
 
+def test_gronwall_bound_that_leaves_the_floats_is_inf():
+    """2^2000 and e^2000 both overflow: each side reads inf instead of raising."""
+    assert discrete_gronwall_bound(1.0, 1.0, 2000) == (math.inf, math.inf)
+
+
 def test_gronwall_bound_hand_value():
     """(2, 1, 3): 2*2^3 = 16 and 2*e^3 = 40.171..."""
     first, second = discrete_gronwall_bound(2.0, 1.0, 3)
@@ -247,6 +252,14 @@ def test_apriori_random_sweep_all_models():
             xi = rng.uniform(-2.0, 2.0, m.d)
             res = apriori_bound(m, xi, path)
             assert res.ok, f"{name}: {res.sup_solution} > {res.bound}"
+
+
+def test_apriori_bound_that_is_not_finite_is_not_ok():
+    """exp(T sup phi(W)) overflows at T = 40: an infinite bound holds against anything."""
+    m = catalog_model("oscillatory1d")
+    res = apriori_bound(m, [0.4], sample_path(0, TimeGrid(40.0, 64), 1))
+    assert res.bound == math.inf and math.isfinite(res.sup_solution)
+    assert res.ok is False
 
 
 def test_apriori_names_a_non_finite_start():

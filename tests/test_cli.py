@@ -188,6 +188,19 @@ def test_main_unknown_config_key(tmp_path, capsys):
     assert "stepz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, why",
+    [("x0 =", "empty value"), ("deterministic = maybe", "not a boolean: 'maybe'")],
+    ids=["empty-x0", "deterministic-maybe"],
+)
+def test_an_ini_value_that_does_not_parse_exits_1(line, why, tmp_path, capsys):
+    p = tmp_path / "exp.ini"
+    p.write_text(f"[experiment]\nmodel = linear1d\n{line}\n")
+    assert main(["solve", "--config", str(p)]) == 1
+    key = line.split()[0]
+    assert capsys.readouterr().err == f"sdemod: error: {p}:3: bad value for '{key}': {why}\n"
+
+
 # -- subcommands ---------------------------------------------------------------------
 
 
@@ -419,6 +432,16 @@ def test_solve_divergence_exit_2(capsys):
     )
     assert code == 2
     assert "diverged" in capsys.readouterr().err.lower()
+
+
+def test_solve_tol_that_diverges_at_every_level_exits_2(capsys):
+    """x0^3 = 1e330 overflows, so the 1-, 2-, 4- and 8-step grids all diverge: no level solves."""
+    argv = ["solve", "--model", "cubic_deterministic", "--x0", "1e110", "--steps", "8",
+            "--tol", "1e-3", "--deterministic"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sdemod: trajectory diverged at step 0\n"
 
 
 def test_variational_divergence_exit_2(capsys):

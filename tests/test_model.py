@@ -6,6 +6,7 @@ plus direct arithmetic for the deliberately violating configurations.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from sdemodulus import (
     CatalogError,
     DriftModel,
+    EvaluationError,
     LyapunovSpec,
     NormSpec,
     catalog_model,
@@ -308,6 +310,31 @@ def test_lyapunov_violation_cubic_with_noise():
     (_x, _z, lhs, rhs) = rep.violations[0]
     assert lhs == pytest.approx(729.0 / math.sqrt(2.0), rel=1e-12)
     assert rhs == pytest.approx((1.0 + 10.0 ** 1.5) * math.sqrt(2.0), rel=1e-12)
+
+
+def test_a_non_finite_jacobian_raises_with_its_point():
+    m = dataclasses.replace(
+        catalog_model("linear1d"), mu_jac=lambda x: np.where(x > 5.0, np.inf, -1.0)[..., None]
+    )
+    with pytest.raises(EvaluationError, match="^mu_jac returned a non-finite value$") as err:
+        check_derivative_growth(m, [[0.0], [5.5], [7.0]])
+    assert np.array_equal(err.value.point, [5.5])
+
+
+def test_a_non_finite_drift_raises_with_its_point():
+    m = dataclasses.replace(catalog_model("linear1d"), mu=lambda x: np.where(x > 15.0, np.nan, -x))
+    with pytest.raises(EvaluationError, match="^mu returned a non-finite value$") as err:
+        check_lyapunov(m, [[0.0], [15.5], [20.0]], [[0.0]])
+    assert np.array_equal(err.value.point, [15.5])
+
+
+def test_a_non_finite_lyapunov_function_raises():
+    base = catalog_model("linear1d")
+    lyapunov = dataclasses.replace(base.lyapunov, V=lambda x: np.full(x.shape[:-1], np.inf))
+    m = dataclasses.replace(base, lyapunov=lyapunov)
+    with pytest.raises(EvaluationError, match="^V or V_grad returned a non-finite value$") as err:
+        check_lyapunov(m, [[0.0]], [[0.0]])
+    assert err.value.point is None
 
 
 def test_violations_iff_max_ratio_exceeds_slack():

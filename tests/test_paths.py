@@ -410,8 +410,9 @@ _SIGMA5 = [
 def test_moment_is_golden_where_a_chunk_a_batch_and_a_slab_end(run, mean, std_error, threads):
     """Hex values recorded while each batch's sups were taken from whole-batch slabs.
 
-    At BATCH_SAMPLES + 1 samples the second batch, and so its one chunk,
-    holds a single sample; at N = 1025 the last slab is a single step.  A
+    At BATCH_SAMPLES + 1 samples the cache-sized batches of 42, 25 and 64
+    samples leave a last batch of 33, 24 and a single sample; at N = 1025
+    the last slab is a single step.  A
     dense sigma sends every slab through a matmul, whose bits BLAS may
     choose by shape.
     """

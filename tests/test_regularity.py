@@ -677,10 +677,10 @@ _SLAB_BYTES = 2048 * 1024 * 8  # one (2048, 1024, 1) slab of node values
 
 
 def test_a_sup_moment_holds_a_cache_sized_chunk_not_a_batch_slab():
-    """2048 samples at N = 2048 take the sup in chunks of 128 samples: about 1 MiB of path.
+    """2048 samples at N = 2048 take the sup in batches of 128 samples: about 1 MiB of path.
 
-    A whole-batch slab is 16 MiB, and two alive at once are 32 MiB.  Besides
-    the chunk's slab, the run keeps a few (n,) arrays of sups.
+    A slab of 2048 samples is 16 MiB, and two alive at once are 32 MiB.
+    Besides the batch's slab, the run keeps a few (n,) arrays of sups.
     """
     n, grid = 2048, TimeGrid(1.0, 2048)
     estimate_poly_moment(1.0, [[1.0]], TimeGrid(1.0, 8), 2, 0)  # first-call allocations

@@ -5,7 +5,9 @@ that looks it up, ``cli`` included (``vars(cli)["sample_path"]`` and so on).
 A change to ``src`` that drops one of those names makes every traced
 benchmark run raise ``KeyError``.  These tests run one small invocation of
 each subcommand that a benchmark workload drives through ``cli.main``,
-inside the tracer, so such a change fails here.
+inside the tracer, so such a change fails here.  The ``pathwise-sweep``
+workload calls the library directly, and the tracer binds the parameters
+of those calls by name, so one operation of it runs here as well.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import layers  # noqa: E402
+import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 _ARGV = {
@@ -59,5 +62,20 @@ def test_traced_run_prints_the_same_and_restores_every_name(argv):
         traced = _run(argv)
     assert traced == plain
     assert tracer.spans
+    after = _patched_attributes()
+    assert all(after[key] is original for key, original in before.items())
+
+
+def test_traced_pathwise_sweep_draws_the_same_and_restores_every_name():
+    inputs = workloads.pathwise_sweep_setup(0)
+    plain = workloads.pathwise_sweep_op(inputs)
+    before = _patched_attributes()
+    tracer = Tracer()
+    with layers.traced(tracer):
+        traced = workloads.pathwise_sweep_op(inputs)
+    assert plain.failed == traced.failed == 0
+    assert plain.attempted == traced.attempted == workloads.SWEEP_DRAWS
+    assert traced.output == plain.output
+    assert tracer.counts["variational.dir_steps"] == workloads.SWEEP_DRAWS * inputs["grid"].N
     after = _patched_attributes()
     assert all(after[key] is original for key, original in before.items())

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from sdemodulus import (
-    FULL,
     SolutionPath,
     TimeGrid,
     VariationalPath,
@@ -61,17 +60,12 @@ def test_cubic_linearization_closed_form():
     [
         ("oscillatory1d", None, 7, [0.7], [1.0],
          "13a4d6278091862b0c309e8e9337143ad43062beec0e2eb98beb4c9a04d12e93"),
-        # d = 1 "full" steps on numpy, and must repeat the bits of the float steps above.
-        ("oscillatory1d", None, 7, [0.7], FULL,
-         "13a4d6278091862b0c309e8e9337143ad43062beec0e2eb98beb4c9a04d12e93"),
         ("linear1d", None, 9, [1.3], [-0.7],
          "f9744809f893c61c14bc3718c6a04d8c7225ed2c33134973188d56729d517fe4"),
         ("bounded_tanh", 2, 8, [0.3, -1.1], [0.6, 0.8],
          "9cdb046a09a2fe03ec6506f13a184bd1faecee4b8f4a00b8d4f6b27e2b525617"),
-        ("bounded_tanh", 2, 8, [0.3, -1.1], FULL,
-         "eda417d3ec6e55a9da39f156607fe84250e7cf0f0188023554d02fa8a65b605d"),
     ],
-    ids=["oscillatory1d", "oscillatory1d-full", "linear1d", "bounded_tanh-2", "bounded_tanh-2-full"],
+    ids=["oscillatory1d", "linear1d", "bounded_tanh-2"],
 )
 def test_variational_golden_bytes(name, d, seed, x, h, golden):
     """Every derivative bit at N = 1024 repeats: a cheaper step must not move one."""
@@ -122,15 +116,12 @@ def test_linearity_in_direction():
     assert np.allclose(combined.dirs, split, rtol=1e-12, atol=1e-14)
 
 
-def test_full_flow_matches_columns():
-    """Full d x d mode equals the per-basis-vector solves, column by column."""
+def test_the_whole_jacobian_is_not_a_direction():
+    """One direction is propagated at a time; the string "full" is not a vector."""
     m = catalog_model("bounded_tanh", d=2)
-    sol = euler_solve(m, np.array([0.3, -0.4]), sample_path(8, TimeGrid(1.0, 64), 2))
-    full = variational_solve(m, sol, FULL)
-    assert full.dirs.shape == (65, 2, 2)
-    for j in range(2):
-        single = variational_solve(m, sol, np.eye(2)[j])
-        assert np.allclose(full.dirs[:, :, j], single.dirs, rtol=1e-13)
+    sol = euler_solve(m, np.array([0.3, -0.4]), sample_path(8, TimeGrid(1.0, 8), 2))
+    with pytest.raises(ValueError, match="'full'"):
+        variational_solve(m, sol, "full")
 
 
 # -- finite differences ------------------------------------------------------------
@@ -233,10 +224,12 @@ def test_growth_bound_detects_scaled_dirs():
 
 
 def test_growth_bound_full_mode():
+    """Every column of the Jacobian, each propagated as its own basis direction, is in bound."""
     m = catalog_model("ou_nd", d=2)
     sol = euler_solve(m, np.array([0.5, -0.5]), sample_path(9, TimeGrid(1.0, 64), 2))
-    chk = growth_bound_check(m, sol, variational_solve(m, sol, FULL))
-    assert chk.ok
+    for e in np.eye(2):
+        chk = growth_bound_check(m, sol, variational_solve(m, sol, e))
+        assert chk.ok
 
 
 def test_growth_bound_rejects_mismatched_dimensions():
@@ -319,6 +312,14 @@ def test_pathwise_failed_comparison_refines_the_segment_once():
     assert res.ok is False
     assert res.lhs == pytest.approx(0.25 * (1.0 + 1.0 / 64) ** 64, rel=1e-14)
     assert res.rhs == 0.25
+
+
+def test_pathwise_rhs_that_is_not_finite_is_not_ok():
+    """exp(T sup phi) overflows at T = 40: an infinite rhs holds against anything."""
+    m = catalog_model("oscillatory1d")
+    res = pathwise_distance_bound(m, [0.4], [0.3], sample_path(0, TimeGrid(40.0, 64), 1))
+    assert res.rhs == math.inf and math.isfinite(res.lhs)
+    assert res.ok is False
 
 
 def test_pathwise_u_grid_validation():
