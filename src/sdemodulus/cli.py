@@ -575,7 +575,7 @@ def main(argv=None) -> int:
         print(f"sdemod: estimator failure: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
-        print(f"sdemod: trajectory diverged at step {exc.step}", file=sys.stderr)
+        print(f"sdemod: trajectory diverged: {exc}", file=sys.stderr)
         return 2
 
 

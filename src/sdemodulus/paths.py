@@ -38,7 +38,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 BATCH_SAMPLES = 2048  # samples per ensemble batch; fixed so results never depend on threading
-_SLAB_STEPS = 1024  # time steps generated per RNG call block
+_SLAB_STEPS = 1024  # the most time steps generated per RNG call block
+_SLAB_FLOATS = 2**17  # the path memory budget, 1 MiB: what one slab of a batch aims at
+_MIN_SLAB_STEPS = 256  # the fewest steps per RNG call block; shorter ones pay its fixed cost
 
 
 @dataclass(frozen=True)
@@ -170,22 +172,28 @@ def map_batches(fn, n_samples: int, batch: int, threads: int = 1) -> list:
 
 
 def brownian_slabs(gens, grid: TimeGrid, m: int):
-    """Yield the node values W(t_1), ..., W(t_N) as (len(gens), S, m) slabs, S <= _SLAB_STEPS.
+    """Yield the node values W(t_1), ..., W(t_N) as (len(gens), S, m) slabs.
 
     Row b of every slab continues the stream of ``gens[b]``, so a sample's
     path does not depend on which batch it is drawn in.  The N(0, dt)
     increments are summed left to right from W(0) = 0, one slab after the
     other, so every path is bitwise the one ``sample_path`` gives for its
-    generator.
+    generator, whatever the slab length.
 
+    A slab holds S = min(_SLAB_STEPS, N, max(_MIN_SLAB_STEPS, _SLAB_FLOATS
+    // (len(gens) m))) steps, so it aims at the budget of _SLAB_FLOATS floats
+    (1 MiB): 1024 steps for one generator, 256 for 512 samples at m = 1.  A
+    slab is never shorter than 256 steps, since each standard_normal call
+    costs about 1 us besides its normals, so 2048 samples at m = 1 hold 4 MiB.
     Every slab is the same buffer, allocated once per call and refilled (the
     last, shorter slab is a view of its first steps), so one slab is alive
     however long the path.  A slab is valid until the caller asks for the
     next one: a caller that keeps any of it must copy it.
     """
     sqdt = math.sqrt(grid.dt)
-    buf = np.empty((len(gens), min(_SLAB_STEPS, grid.N), m))
-    for done in range(0, grid.N, _SLAB_STEPS):
+    steps = min(_SLAB_STEPS, grid.N, max(_MIN_SLAB_STEPS, _SLAB_FLOATS // (len(gens) * m)))
+    buf = np.empty((len(gens), steps, m))
+    for done in range(0, grid.N, steps):
         block = buf[:, : grid.N - done]
         for bi, g in enumerate(gens):
             g.standard_normal(out=block[bi])
@@ -213,10 +221,11 @@ def brownian_sup_values(
     the running max of its values is returned, so the
     statistic must depend on each node's value alone and reduce each sample
     on its own.  No reduction crosses samples, so a batch is as small as
-    cache wants it: ``min(BATCH_SAMPLES, max(1, 2**17 // (S m)))`` samples,
-    S = min(_SLAB_STEPS, N), whose slab holds at most 1 MiB of floats, 128
-    samples at m = 1 and N >= 1024, so it stays in cache while ``slab_sup``
-    reads it.  Every sup is the one a batch of any other size gives.
+    cache wants it: ``min(BATCH_SAMPLES, max(1, _SLAB_FLOATS // (S m)))``
+    samples, S = min(_SLAB_STEPS, N), whose slab of S steps then fits the
+    one budget of ``brownian_slabs`` (1 MiB of floats; 128 samples at m = 1
+    and N >= 1024), so it stays in cache while ``slab_sup`` reads it.
+    Every sup is the one a batch of any other size gives.
 
     The estimators pass ``lambda w: np.max(norm(w), axis=1)``, or for a
     scalar path ``_abs_sup``, which takes max(max W, -min W) and no norm at
@@ -227,7 +236,7 @@ def brownian_sup_values(
     under- or overflows, and the shortcut gives the exact value.
     """
 
-    batch = min(BATCH_SAMPLES, max(1, 2**17 // (min(_SLAB_STEPS, grid.N) * m)))
+    batch = min(BATCH_SAMPLES, max(1, _SLAB_FLOATS // (min(_SLAB_STEPS, grid.N) * m)))
 
     def one_batch(lo: int, hi: int) -> np.ndarray:
         best = np.asarray(slab_sup(np.zeros((hi - lo, 1, m))), dtype=float)

@@ -227,6 +227,19 @@ def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):
     return count, [out for _, out in parts]
 
 
+def _fold(outs):
+    """Add each later batch's arrays into the first batch's, in batch order; returns the first.
+
+    That is the order in which numpy reduces axis 0 of their C-contiguous
+    stack, so the sums are bitwise ``np.sum(outs, axis=0)``, without the stack.
+    """
+    first, *rest = outs
+    for out in rest:
+        for total, part in zip(first, out):
+            total += part
+    return first
+
+
 def _check_exclusions(count: int, n_samples: int, what: str) -> None:
     excluded = n_samples - count
     if excluded > _MAX_EXCLUDED_FRACTION * n_samples:
@@ -267,10 +280,11 @@ def _mean_and_spread(v, v0):
 
 
 def _pair_sums(model, x, y, grid, seed, n_samples, stats, threads, what):
-    """Per-node sums of each array of stats(|X^x - X^y|, |x - y|), per row of ``y``: (R, stats, N+1).
+    """Per-node sums of each array of stats(|X^x - X^y|, |x - y|), per row of ``y``.
 
     ``y`` is a stack of R end points, each coupled to the one trajectory
     from ``x``; a sample that diverges in any pair is excluded from all.
+    Returns the included count and, per row, a tuple of (N+1,) sums, one per stat.
     """
     x = _points(x, model.d, "x")
     y = _points(y, model.d, "y", stack=True)
@@ -278,7 +292,7 @@ def _pair_sums(model, x, y, grid, seed, n_samples, stats, threads, what):
         model, x, grid, seed, n_samples, threads,
         lambda X: _PairSums(model, grid.dt, x - y, X, grid.N, stats), what,
     )
-    return count, np.sum(outs, axis=0).swapaxes(0, 1)
+    return count, list(zip(*_fold(outs)))
 
 
 def estimate_distance(
@@ -403,7 +417,7 @@ def _lattice_pass(model, R, x_grid_points, lattice, grid, seed, n_samples, threa
         model, lattice, grid, seed, n_samples, threads,
         lambda X: _LatticeSums(model, X, grid.N, stats), what,
     )
-    sums = np.sum([out[:-1] for out in outs], axis=0)
+    sums = _fold([out[:-1] for out in outs])
     return count, sums, np.concatenate([np.max(out[-1], axis=1) for out in outs])
 
 

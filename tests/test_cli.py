@@ -441,7 +441,7 @@ def test_solve_tol_that_diverges_at_every_level_exits_2(capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "sdemod: trajectory diverged at step 0\n"
+    assert captured.err == "sdemod: trajectory diverged: all resolutions diverged\n"
 
 
 def test_variational_divergence_exit_2(capsys):
@@ -450,7 +450,7 @@ def test_variational_divergence_exit_2(capsys):
          "--dir", "1", "--steps", "4", "--deterministic"]
     )
     assert code == 2
-    assert "trajectory diverged at step" in capsys.readouterr().err
+    assert "trajectory diverged: Euler state became non-finite at step" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -89,6 +89,22 @@ def test_slabs_are_one_buffer_and_copied_slabs_are_sample_path(N):
     assert np.array_equal(np.concatenate([np.zeros((1, m)), *rows]), want)
 
 
+def test_a_batch_slab_is_cut_to_1_mib_and_its_rows_are_sample_path():
+    """600 streams at m = 1 draw 2**17 // 600 < 256 steps, so 256: slabs of 256, 256, 256, 232."""
+    grid, n = TimeGrid(1.0, 1000), 600
+    rows, lengths, buffers = {0: [], n - 1: []}, [], []
+    for block in brownian_slabs([substream(seed, 0) for seed in range(n)], grid, 1):
+        buffers.append(block.base)
+        lengths.append(block.shape[1])
+        for i in rows:
+            rows[i].append(block[i].copy())
+    assert lengths == [256, 256, 256, 232]
+    assert all(b is buffers[0] for b in buffers) and buffers[0].size <= max(2**17, n * 256)
+    for i, parts in rows.items():
+        got = np.concatenate([np.zeros((1, 1)), *parts])
+        assert got.tobytes() == sample_path(i, grid, 1).values.tobytes()
+
+
 def test_sup_values_take_the_path_of_sample_path():
     """Past one slab too, sample 0 of the node-sup estimators is driven by sample_path(seed)."""
     grid, m = TimeGrid(1.0, 3000), 2

@@ -673,13 +673,10 @@ def test_peak_memory_grows_only_by_the_node_accumulators():
         assert growth <= 12 * 8 * L * (4096 - 256), (L, growth)
 
 
-_SLAB_BYTES = 2048 * 1024 * 8  # one (2048, 1024, 1) slab of node values
-
-
 def test_a_sup_moment_holds_a_cache_sized_chunk_not_a_batch_slab():
     """2048 samples at N = 2048 take the sup in batches of 128 samples: about 1 MiB of path.
 
-    A slab of 2048 samples is 16 MiB, and two alive at once are 32 MiB.
+    A 1024-step slab of 2048 samples is 16 MiB, and two alive at once are 32 MiB.
     Besides the batch's slab, the run keeps a few (n,) arrays of sups.
     """
     n, grid = 2048, TimeGrid(1.0, 2048)
@@ -689,7 +686,7 @@ def test_a_sup_moment_holds_a_cache_sized_chunk_not_a_batch_slab():
 
 
 def test_an_ensemble_pass_holds_one_slab():
-    """One rung over 2048 samples at N = 2048 holds one 16 MiB slab of paths, not two.
+    """One rung over 2048 samples at N = 2048 holds one 4 MiB slab of paths: 256 steps each.
 
     Its own state (substreams, the per-step arrays, the node sums) is what
     the same pass holds at N = 4, where a slab is 4 steps long.
@@ -704,7 +701,26 @@ def test_an_ensemble_pass_holds_one_slab():
     run(8)  # first-call allocations are not the kernel's
     state = _peak_bytes(lambda: run(4))
     peak = _peak_bytes(lambda: run(2048))
-    assert peak < 1.5 * _SLAB_BYTES + state, (peak, state)
+    assert peak < 1.5 * (2048 * 256 * 8) + state, (peak, state)
+
+
+def test_a_lattice_pass_holds_its_sums_and_a_1_mib_slab():
+    """256 samples of 49 starts in d = 2 draw (256, 256, 2) slabs, 1 MiB, and sum in place.
+
+    Besides the (3, 49, N+1) sums it keeps, the pass at N = 2048 holds what
+    it holds at N = 4, plus at most 1.5 MiB: no stacked copy of the sums.
+    """
+    m = catalog_model("ou_nd", d=2)
+
+    def run(N):
+        return regularity._lattice_pass(
+            m, 1.5, 9, None, TimeGrid(1.0, N), 0, 256, 1, regularity._mean_and_spread, "K and C"
+        )
+
+    assert [s.shape for s in run(8)[1]] == [(49, 9)] * 3  # and first-call allocations
+    state = _peak_bytes(lambda: run(4))
+    peak = _peak_bytes(lambda: run(2048))
+    assert peak < 3 * 49 * 2049 * 8 + 1.5 * 2**20 + state, (peak, state)
 
 
 # -- constants -----------------------------------------------------------------------
@@ -897,6 +913,26 @@ def test_verify_modulus_golden_values_with_a_one_sample_batch():
         (0.0010108411216309928, 2.844858020390966e-07, 2049),
     ]
     assert (rep.constants.K, rep.constants.C) == (1186301592233100.2, 2.5)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_verify_modulus_golden_values_over_three_batches(threads):
+    """Three batch sums fold in batch order, ((a + b) + c), at any thread count.
+
+    At 2 * BATCH_SAMPLES + 1 samples the batches hold 2048, 2048 and 1
+    samples; at N = 300 the first two draw slabs of 256 and 44 steps, the
+    last one slab of all 300.
+    """
+    rep = verify_modulus(
+        catalog_model("oscillatory1d"), [0.8], [1.0], (1e-1, 1e-2, 1e-3), 1.0, 1.5,
+        TimeGrid(0.2, 300), 2 * BATCH_SAMPLES + 1, 7, x_grid_points=3, threads=threads,
+    )
+    assert [(e.mean, e.std_error, e.n_samples) for e in rep.empirical] == [
+        (0.10074198275071343, 1.738868242407861e-05, 4097),
+        (0.010089585503781109, 1.8028816403693102e-06, 4097),
+        (0.0010090381367065789, 1.8040643485591734e-07, 4097),
+    ]
+    assert (rep.constants.K, rep.constants.C) == (1510037842229766.5, 2.5)
 
 
 def test_ensemble_batch_of_one_sample_is_its_array_solve_bitwise():
