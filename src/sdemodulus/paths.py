@@ -4,6 +4,8 @@ A path is stored by its values at the nodes ``t_n = n T / N``.  Sampling is
 driven by counter-based substreams: sample ``i`` of master seed ``s`` uses a
 Philox generator keyed by ``(s, i)``, so Monte Carlo loops are reproducible
 sample-by-sample and results do not depend on batching or thread count.
+Philox is counter based, so a generator re-keyed to ``(s, i)`` gives that
+stream bitwise too: a batch of whole paths draws every sample from one generator.
 
 The sup statistics here are taken over grid nodes.  The node sup never
 exceeds the sup of the underlying continuous path, so grid estimates of
@@ -38,7 +40,6 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 BATCH_SAMPLES = 2048  # samples per ensemble batch; fixed so results never depend on threading
-_SLAB_STEPS = 1024  # the most time steps generated per RNG call block
 _SLAB_FLOATS = 2**17  # the path memory budget, 1 MiB: what one slab of a batch aims at
 _MIN_SLAB_STEPS = 256  # the fewest steps per RNG call block; shorter ones pay its fixed cost
 
@@ -123,7 +124,7 @@ def sample_path(seed: int, grid: TimeGrid, m: int) -> BrownianPath:
     m = _count("m", m, 1)
     values = np.zeros((grid.N + 1, m))
     done = 1
-    for block in brownian_slabs([substream(seed, 0)], grid, m):
+    for block in brownian_slabs(seed, [0], grid, m):
         values[done : done + block.shape[1]] = block[0]
         done += block.shape[1]
     return BrownianPath(grid, values, int(seed))
@@ -171,28 +172,60 @@ def map_batches(fn, n_samples: int, batch: int, threads: int = 1) -> list:
         return list(pool.map(lambda r: fn(*r), ranges))
 
 
-def brownian_slabs(gens, grid: TimeGrid, m: int):
-    """Yield the node values W(t_1), ..., W(t_N) as (len(gens), S, m) slabs.
+def _rekey(gen: np.random.Generator, seed: int, index: int) -> None:
+    """Reset ``gen`` to the start of the stream ``substream(seed, index)``, bitwise.
 
-    Row b of every slab continues the stream of ``gens[b]``, so a sample's
-    path does not depend on which batch it is drawn in.  The N(0, dt)
-    increments are summed left to right from W(0) = 0, one slab after the
-    other, so every path is bitwise the one ``sample_path`` gives for its
-    generator, whatever the slab length.
+    A Philox state is its key, its counter and its buffered outputs, so a new
+    key, a zero counter and an empty buffer are a newly built generator: about
+    2 us, against 12-22 us to build one.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, np.uint64),
+            "key": np.array([int(seed) & _MASK64, int(index)], np.uint64),
+        },
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
-    A slab holds S = min(_SLAB_STEPS, N, max(_MIN_SLAB_STEPS, _SLAB_FLOATS
-    // (len(gens) m))) steps, so it aims at the budget of _SLAB_FLOATS floats
-    (1 MiB): 1024 steps for one generator, 256 for 512 samples at m = 1.  A
-    slab is never shorter than 256 steps, since each standard_normal call
-    costs about 1 us besides its normals, so 2048 samples at m = 1 hold 4 MiB.
-    Every slab is the same buffer, allocated once per call and refilled (the
-    last, shorter slab is a view of its first steps), so one slab is alive
-    however long the path.  A slab is valid until the caller asks for the
-    next one: a caller that keeps any of it must copy it.
+
+def _rekeyed(seed: int, indices):
+    """The stream of each index in turn, from one generator re-keyed between them."""
+    gen = substream(seed, indices[0])
+    yield gen
+    for i in indices[1:]:
+        _rekey(gen, seed, i)
+        yield gen
+
+
+def brownian_slabs(seed: int, indices, grid: TimeGrid, m: int):
+    """Yield the node values W(t_1), ..., W(t_N) as (len(indices), S, m) slabs.
+
+    Row b of every slab continues the stream ``substream(seed, indices[b])``,
+    so a sample's path does not depend on which batch it is drawn in.  The
+    N(0, dt) increments are summed left to right from W(0) = 0, one slab after
+    the other, so every path is bitwise the one ``sample_path`` gives for its
+    stream, whatever the slab length.
+
+    A slab holds S = min(N, max(_MIN_SLAB_STEPS, _SLAB_FLOATS // (B m)))
+    steps of each of the B = len(indices) rows, so it aims at the budget of
+    _SLAB_FLOATS floats (1 MiB): 256 steps for 512 samples at m = 1.  A slab
+    is never shorter than 256 steps, since each standard_normal call costs
+    about 1 us besides its normals, so 2048 samples at m = 1 hold 4 MiB.
+    When S = N every row is a whole path, drawn in one call, so one generator
+    serves the batch, re-keyed from row to row; a path of several slabs keeps
+    a generator per row.  Every slab is the same buffer, allocated once per
+    call and refilled (the last, shorter slab is a view of its first steps),
+    so one slab is alive however long the path.  A slab is valid until the
+    caller asks for the next one: a caller that keeps any of it must copy it.
     """
     sqdt = math.sqrt(grid.dt)
-    steps = min(_SLAB_STEPS, grid.N, max(_MIN_SLAB_STEPS, _SLAB_FLOATS // (len(gens) * m)))
-    buf = np.empty((len(gens), steps, m))
+    steps = min(grid.N, max(_MIN_SLAB_STEPS, _SLAB_FLOATS // (len(indices) * m)))
+    gens = _rekeyed(seed, indices) if steps == grid.N else [substream(seed, i) for i in indices]
+    buf = np.empty((len(indices), steps, m))
     for done in range(0, grid.N, steps):
         block = buf[:, : grid.N - done]
         for bi, g in enumerate(gens):
@@ -221,10 +254,10 @@ def brownian_sup_values(
     the running max of its values is returned, so the
     statistic must depend on each node's value alone and reduce each sample
     on its own.  No reduction crosses samples, so a batch is as small as
-    cache wants it: ``min(BATCH_SAMPLES, max(1, _SLAB_FLOATS // (S m)))``
-    samples, S = min(_SLAB_STEPS, N), whose slab of S steps then fits the
-    one budget of ``brownian_slabs`` (1 MiB of floats; 128 samples at m = 1
-    and N >= 1024), so it stays in cache while ``slab_sup`` reads it.
+    cache wants it: ``min(BATCH_SAMPLES, max(1, _SLAB_FLOATS // (N m)))``
+    whole paths, whose one slab then fits the budget of ``brownian_slabs``
+    (1 MiB of floats; 13 samples at m = 1 and N = 10^4), so it stays in
+    cache while ``slab_sup`` reads it, and one generator draws the batch.
     Every sup is the one a batch of any other size gives.
 
     The estimators pass ``lambda w: np.max(norm(w), axis=1)``, or for a
@@ -236,12 +269,11 @@ def brownian_sup_values(
     under- or overflows, and the shortcut gives the exact value.
     """
 
-    batch = min(BATCH_SAMPLES, max(1, _SLAB_FLOATS // (min(_SLAB_STEPS, grid.N) * m)))
+    batch = min(BATCH_SAMPLES, max(1, _SLAB_FLOATS // (grid.N * m)))
 
     def one_batch(lo: int, hi: int) -> np.ndarray:
         best = np.asarray(slab_sup(np.zeros((hi - lo, 1, m))), dtype=float)
-        gens = [substream(seed, i) for i in range(lo, hi)]
-        for block in brownian_slabs(gens, grid, m):
+        for block in brownian_slabs(seed, range(lo, hi), grid, m):
             np.maximum(best, slab_sup(block), out=best)
         return best
 

@@ -32,7 +32,14 @@ from sdemodulus import (
     substream,
     zero_path,
 )
-from sdemodulus.paths import BATCH_SAMPLES, _abs_sup, brownian_slabs, brownian_sup_values
+from sdemodulus import paths
+from sdemodulus.paths import (
+    BATCH_SAMPLES,
+    _abs_sup,
+    _rekey,
+    brownian_slabs,
+    brownian_sup_values,
+)
 
 
 # -- grids and paths ----------------------------------------------------------
@@ -64,36 +71,49 @@ def test_sample_path_zero_horizon():
     assert np.all(p.values == 0.0)
 
 
+def _one_sum(seed, i, grid, m):
+    """The path of substream (seed, i): one left-to-right sum of one draw of all N increments."""
+    incs = substream(seed, i).standard_normal((grid.N, m)) * math.sqrt(grid.dt)
+    return np.concatenate([np.zeros((1, m)), np.cumsum(incs, axis=0)])
+
+
 @pytest.mark.parametrize("m", [1, 3])
 @pytest.mark.parametrize("N", [1, 1024, 1025, 3000])
 def test_sample_path_is_one_left_to_right_sum(N, m):
     """Slab by slab, the path is bitwise the cumsum of one draw of all N increments."""
     grid = TimeGrid(1.0, N)
-    incs = substream(21, 0).standard_normal((N, m)) * math.sqrt(grid.dt)
-    want = np.concatenate([np.zeros((1, m)), np.cumsum(incs, axis=0)])
-    assert np.array_equal(sample_path(21, grid, m).values, want)
+    assert np.array_equal(sample_path(21, grid, m).values, _one_sum(21, 0, grid, m))
 
 
 @pytest.mark.parametrize("N", [1025, 2049])
 def test_slabs_are_one_buffer_and_copied_slabs_are_sample_path(N):
-    """Every slab of one stream is the same buffer; copied slab by slab, row 0 is sample_path."""
+    """Every slab of one call is the same buffer; copied slab by slab, each row is its stream's path.
+
+    Three rows at m = 2 fit whole in 1 MiB, so they come in one slab; 64 rows
+    draw 2**17 // 128 = 1024 steps a slab, so N = 2049 takes three slabs.
+    """
     grid, m = TimeGrid(1.0, N), 2
-    slabs = brownian_slabs([substream(17, i) for i in range(3)], grid, m)
-    first = next(slabs)
-    rows = [first[0].copy()]
-    for block in slabs:
-        assert np.shares_memory(block, first)
-        assert block.shape[1] == min(1024, N - 1024 * len(rows))
-        rows.append(block[0].copy())
-    want = sample_path(17, grid, m).values
-    assert np.array_equal(np.concatenate([np.zeros((1, m)), *rows]), want)
+    for n in (3, 64):
+        steps = min(N, max(256, 2**17 // (n * m)))
+        slabs = brownian_slabs(17, range(n), grid, m)
+        first = next(slabs)
+        assert first.shape == (n, steps, m)
+        rows = [first[[0, -1]].copy()]
+        for block in slabs:
+            assert np.shares_memory(block, first)
+            assert block.shape[1] == min(steps, N - steps * len(rows))
+            rows.append(block[[0, -1]].copy())
+        got = np.concatenate([np.zeros((2, 1, m)), *rows], axis=1)
+        assert len(rows) == -(-N // steps)
+        assert got[0].tobytes() == sample_path(17, grid, m).values.tobytes()
+        assert got[1].tobytes() == _one_sum(17, n - 1, grid, m).tobytes()
 
 
 def test_a_batch_slab_is_cut_to_1_mib_and_its_rows_are_sample_path():
     """600 streams at m = 1 draw 2**17 // 600 < 256 steps, so 256: slabs of 256, 256, 256, 232."""
-    grid, n = TimeGrid(1.0, 1000), 600
+    grid, n, seed = TimeGrid(1.0, 1000), 600, 5
     rows, lengths, buffers = {0: [], n - 1: []}, [], []
-    for block in brownian_slabs([substream(seed, 0) for seed in range(n)], grid, 1):
+    for block in brownian_slabs(seed, range(n), grid, 1):
         buffers.append(block.base)
         lengths.append(block.shape[1])
         for i in rows:
@@ -102,7 +122,72 @@ def test_a_batch_slab_is_cut_to_1_mib_and_its_rows_are_sample_path():
     assert all(b is buffers[0] for b in buffers) and buffers[0].size <= max(2**17, n * 256)
     for i, parts in rows.items():
         got = np.concatenate([np.zeros((1, 1)), *parts])
-        assert got.tobytes() == sample_path(i, grid, 1).values.tobytes()
+        assert got.tobytes() == _one_sum(seed, i, grid, 1).tobytes()
+    assert _one_sum(seed, 0, grid, 1).tobytes() == sample_path(seed, grid, 1).values.tobytes()
+
+
+_HISTORIES = {
+    "fresh": lambda g: None,
+    "doubles": lambda g: g.standard_normal(5),
+    "uint32": lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+    "raw": lambda g: g.bit_generator.random_raw(3),
+}
+
+
+@pytest.mark.parametrize("history", list(_HISTORIES))
+def test_a_rekeyed_generator_is_a_new_substream_bitwise(history):
+    """After _rekey(gen, seed, i), gen draws what substream(seed, i) draws, whatever it drew before.
+
+    Seeds outside [0, 2**64) need the 64-bit mask; an odd count of uint32
+    draws leaves one buffered, and an odd count of raw values leaves three.
+    """
+
+    def draws(g):
+        return [
+            g.standard_normal(7),
+            g.integers(0, 2**32, size=3, dtype=np.uint32),
+            g.bit_generator.random_raw(3),
+            g.standard_normal(4),
+        ]
+
+    gen = substream(1, 2)
+    for seed in (0, 3, -1, -(2**70), 2**64 - 1, 2**64 + 5):
+        for i in (0, 1, 2**63, 2**64 - 1):
+            _HISTORIES[history](gen)
+            _rekey(gen, seed, i)
+            want = draws(substream(seed, i))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(draws(gen), want)), (seed, i)
+
+
+def test_a_sup_moment_batch_builds_one_generator(monkeypatch):
+    """At N = 10^4 a batch is 13 whole paths, so 100 samples build 8 generators, not 100."""
+    built = []
+
+    def counted(seed, index):
+        built.append(index)
+        return substream(seed, index)
+
+    monkeypatch.setattr(paths, "substream", counted)
+    grid, seed = TimeGrid(1.0, 10_000), 9
+    sups = [brownian_sup_values(seed, grid, 1, _abs_sup, 100, threads=t) for t in (1, 2)]
+    assert sorted(built) == sorted(2 * list(range(0, 100, 13)))
+    want = [np.max(np.abs(_one_sum(seed, i, grid, 1))) for i in range(100)]
+    assert sups[0].tobytes() == sups[1].tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("N, m", [(2**17, 1), (2**17 + 1, 1), (2**16, 2), (2**16 + 1, 2)])
+def test_sups_and_sample_path_are_one_sum_on_both_sides_of_1_mib(N, m):
+    """At N m = 2**17 a path is one whole-path slab; past it, two slabs of one generator."""
+    grid, seed, n = TimeGrid(1.0, N), 4, 3
+
+    def stat(w):
+        return np.max(np.sum(np.abs(w), axis=-1), axis=-1)
+
+    want = np.array([stat(_one_sum(seed, i, grid, m)) for i in range(n)])
+    for threads in (1, 2):
+        got = brownian_sup_values(seed, grid, m, stat, n, threads)
+        assert got.tobytes() == want.tobytes()
+    assert sample_path(seed, grid, m).values.tobytes() == _one_sum(seed, 0, grid, m).tobytes()
 
 
 def test_sup_values_take_the_path_of_sample_path():
@@ -356,7 +441,7 @@ def test_scalar_sup_is_the_node_sup_of_every_norm_bitwise(N):
     grid, seed = TimeGrid(1.0, N), 31
 
     def node_values(i):
-        slabs = brownian_slabs([substream(seed, i)], grid, 1)
+        slabs = brownian_slabs(seed, [i], grid, 1)
         return np.concatenate([np.zeros((1, 1)), *(block[0].copy() for block in slabs)])
 
     w0, w1, w2048 = sample_path(seed, grid, 1).values, node_values(1), node_values(2048)
@@ -426,11 +511,11 @@ _SIGMA5 = [
 def test_moment_is_golden_where_a_chunk_a_batch_and_a_slab_end(run, mean, std_error, threads):
     """Hex values recorded while each batch's sups were taken from whole-batch slabs.
 
-    At BATCH_SAMPLES + 1 samples the cache-sized batches of 42, 25 and 64
-    samples leave a last batch of 33, 24 and a single sample; at N = 1025
-    the last slab is a single step.  A
-    dense sigma sends every slab through a matmul, whose bits BLAS may
-    choose by shape.
+    At BATCH_SAMPLES + 1 samples the cache-sized batches of 42, 25 and 63
+    whole paths leave a last batch of 33, 24 and 33.  The values were
+    recorded with batches of 42, 25 and 64 samples, drawn in 1024-step slabs
+    and a last slab of a single step.  A dense sigma sends every slab
+    through a matmul, whose bits BLAS may choose by shape.
     """
     est = run(TimeGrid(1.0, 1025), BATCH_SAMPLES + 1, threads)
     assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)

@@ -544,7 +544,7 @@ class _States(regularity._Reducer):
 
 def _own_path(seed, i, grid):
     """Sample i's driving path in an ensemble on ``seed``, as one BrownianPath."""
-    slabs = brownian_slabs([substream(seed, i)], grid, 1)
+    slabs = brownian_slabs(seed, [i], grid, 1)
     values = [np.zeros((1, 1)), *(block[0].copy() for block in slabs)]
     return BrownianPath(grid, np.concatenate(values), seed)
 
@@ -656,8 +656,10 @@ def test_peak_memory_grows_only_by_the_node_accumulators():
     """Per-node sums need O(L N) floats; keeping every sample's nodes needs O(n L N).
 
     From N = 256 to 4096 with 8 samples, the accumulators, their merge and
-    the noise slab (at most 1024 steps) stay below 12 floats per added
-    (start, node); storing each sample's node values would take at least 24.
+    the noise slab stay below 12 floats per added (start, node); storing
+    each sample's node values would take at least 24.  The slab is 8 whole
+    paths here, 8 floats per node of the 11 that one start adds; it stops
+    growing at 2**17 // 8 steps, where it reaches 1 MiB.
     """
     m = catalog_model("oscillatory1d")
     lat = np.array([[-1.0], [0.0], [1.0]])
@@ -674,7 +676,7 @@ def test_peak_memory_grows_only_by_the_node_accumulators():
 
 
 def test_a_sup_moment_holds_a_cache_sized_chunk_not_a_batch_slab():
-    """2048 samples at N = 2048 take the sup in batches of 128 samples: about 1 MiB of path.
+    """2048 samples at N = 2048 take the sup in batches of 64 whole paths: 1 MiB of path.
 
     A 1024-step slab of 2048 samples is 16 MiB, and two alive at once are 32 MiB.
     Besides the batch's slab, the run keeps a few (n,) arrays of sups.
