@@ -275,6 +275,11 @@ def _mean_and_spread(v, v0):
     return v, dev, dev * dev
 
 
+def _norm_only(v, v0):
+    """The node stat of C, a mean with no standard error: v alone."""
+    return (v,)
+
+
 # -- coupled evolution of a pair of solutions -------------------------------
 
 
@@ -647,8 +652,9 @@ def verify_modulus(
     start inside the radius-(R+1) ball that the K and C estimates sweep.
     Every rung is coupled to one set of paths from x_center, so rung h
     equals ``estimate_distance`` at derived seed 0.  K and C come from one
-    lattice pass on derived seed 10001, so they equal ``estimate_K`` and
-    ``moment_bound_check(r=1, sup_outside=True)`` at that seed.
+    lattice pass on derived seed 10001, so K equals ``estimate_K`` and C the
+    mean of ``moment_bound_check(r=1, sup_outside=True)`` at that seed.  C
+    carries no standard error, so that pass sums only |X| per (start, node).
     """
     ladder = tuple(float(h) for h in ladder)
     if not ladder:
@@ -677,14 +683,15 @@ def verify_modulus(
         model, x_center, ys, grid, pair_seed, n_samples, _mean_and_spread, threads, "verify_modulus"
     )
     lattice_seed = derive_seed(seed, 10_001)
-    lattice_count, c_sums, top = _lattice_pass(
+    lattice_count, (c_sums,), top = _lattice_pass(
         model, R, x_grid_points, None, grid, lattice_seed, n_samples, threads,
-        _mean_and_spread, "K and C",
+        _norm_only, "K and C",
     )
     with np.errstate(over="ignore"):  # RegularityConstants names a K that overflows
         k_est = _K_from_max(model, top, q, safety, lattice_seed)
-    c_est = _sup_of_means(*c_sums, lattice_count, lattice_seed)
-    constants = RegularityConstants(float(R), float(q), k_est.mean, c_est.mean, grid.T)
+    c_means = c_sums / lattice_count  # read as _sup_of_means reads its mean
+    C = float(c_means.flat[np.argmax(c_means)])
+    constants = RegularityConstants(float(R), float(q), k_est.mean, C, grid.T)
     theoretical = tuple(constants.c_global * abs(math.log(h)) ** (-q) for h in ladder)
     return RegularityReport(
         model=model.name,

@@ -706,23 +706,30 @@ def test_an_ensemble_pass_holds_one_slab():
     assert peak < 1.5 * (2048 * 256 * 8) + state, (peak, state)
 
 
-def test_a_lattice_pass_holds_its_sums_and_a_1_mib_slab():
+@pytest.mark.parametrize(
+    "stats, n_sums",
+    [(regularity._mean_and_spread, 3), (regularity._norm_only, 1)],
+    ids=["mean-and-spread", "verify-modulus"],
+)
+def test_a_lattice_pass_holds_its_sums_and_a_1_mib_slab(stats, n_sums):
     """256 samples of 49 starts in d = 2 draw (256, 256, 2) slabs, 1 MiB, and sum in place.
 
-    Besides the (3, 49, N+1) sums it keeps, the pass at N = 2048 holds what
-    it holds at N = 4, plus at most 1.5 MiB: no stacked copy of the sums.
+    Besides the (n_sums, 49, N+1) sums it keeps, the pass at N = 2048 holds
+    what it holds at N = 4, plus at most 1.5 MiB: no stacked copy of the
+    sums.  verify_modulus needs only |X| for C, so its pass keeps one sum
+    and builds no spread temporaries; the three of a mean and spread exceed that bound.
     """
     m = catalog_model("ou_nd", d=2)
 
     def run(N):
         return regularity._lattice_pass(
-            m, 1.5, 9, None, TimeGrid(1.0, N), 0, 256, 1, regularity._mean_and_spread, "K and C"
+            m, 1.5, 9, None, TimeGrid(1.0, N), 0, 256, 1, stats, "K and C"
         )
 
-    assert [s.shape for s in run(8)[1]] == [(49, 9)] * 3  # and first-call allocations
+    assert [s.shape for s in run(8)[1]] == [(49, 9)] * n_sums  # and first-call allocations
     state = _peak_bytes(lambda: run(4))
     peak = _peak_bytes(lambda: run(2048))
-    assert peak < 3 * 49 * 2049 * 8 + 1.5 * 2**20 + state, (peak, state)
+    assert peak < n_sums * 49 * 2049 * 8 + 1.5 * 2**20 + state, (peak, state)
 
 
 # -- constants -----------------------------------------------------------------------
@@ -1104,11 +1111,15 @@ def test_verify_modulus_runs_two_ensembles(monkeypatch):
     assert calls == ["verify_modulus", "K and C"]
 
 
-@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("threads", [1, 2, 4])
 def test_K_and_C_are_the_lattice_estimates_on_one_seed(threads):
-    """K and C come from one lattice pass: estimate_K and the r=1 sup-outside moment at seed 10001."""
+    """K and C come from one lattice pass: estimate_K and the r=1 sup-outside moment at seed 10001.
+
+    Two batches, so C's one sum goes through the fold; bounded_tanh's |X|
+    grows in t, so C is a mean at t = T, not one of the starts' norms at node 0.
+    """
     m = catalog_model("bounded_tanh", d=2)
-    grid, n, seed = TimeGrid(1.0, 16), BATCH_SAMPLES + 52, 7
+    grid, n, seed = TimeGrid(1.0, 16), BATCH_SAMPLES + 3, 7
     rep = verify_modulus(
         m, [0.5, 0.1], [0.0, 1.0], (1e-1, 1e-2), 1.0, 1.5, grid, n, seed,
         x_grid_points=3, threads=threads,
@@ -1119,6 +1130,10 @@ def test_K_and_C_are_the_lattice_estimates_on_one_seed(threads):
         m, 1.5, 1.0, grid, n, lattice_seed, x_grid_points=3, sup_outside=True, threads=threads
     )
     assert (rep.constants.K, rep.constants.C) == (k.mean, c.mean)
+    _, (sums,), _ = regularity._lattice_pass(
+        m, 1.5, 3, None, grid, lattice_seed, n, threads, regularity._norm_only, "C"
+    )
+    assert np.unravel_index(np.argmax(sums), sums.shape)[1] == grid.N
 
 
 def test_verify_modulus_lattice_pass_excludes_once(caplog):
