@@ -13,8 +13,6 @@ under ``--deterministic``), and ``--threads`` never changes any value.
 
 from __future__ import annotations
 
-import argparse
-import configparser
 import contextlib
 import dataclasses
 import errno
@@ -28,6 +26,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,6 +60,9 @@ from .variational import (
     variational_solve,
     variational_to_csv,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -189,6 +191,8 @@ def _parse_ini(text: str, source: str) -> dict:
     Unknown or duplicate keys are rejected with line numbers so a typo in a
     config file cannot silently fall back to a default.
     """
+    import configparser
+
     # "" can name no [section], so [DEFAULT] is read like any other section.
     parser = configparser.ConfigParser(interpolation=None, strict=True, default_section="")
     parser.optionxform = str  # keys are case-sensitive (T vs t)
@@ -222,12 +226,13 @@ def _parse_ini(text: str, source: str) -> dict:
 # -- argument parsing ---------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would call sys.exit(2); we want exit 1
-        raise UsageError(message)
+def _build_parser() -> argparse.ArgumentParser:
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse would call sys.exit(2); we want exit 1
+            raise UsageError(message)
 
-def _build_parser() -> _Parser:
     top = _Parser(prog="sdemod", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="subcommand", title="subcommands")
     for command in _SUBCOMMANDS:

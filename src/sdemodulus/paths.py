@@ -15,9 +15,7 @@ is refined (roughly like ``N**-0.5`` for Brownian suprema).
 
 from __future__ import annotations
 
-import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -168,6 +166,10 @@ def map_batches(fn, n_samples: int, batch: int, threads: int = 1) -> list:
     ranges = [(lo, min(lo + batch, n_samples)) for lo in range(0, n_samples, batch)]
     if threads == 1 or len(ranges) == 1:
         return [fn(lo, hi) for lo, hi in ranges]
+    # Deferred, like csv, argparse, configparser and logging elsewhere in the
+    # package: `import sdemodulus` must not load what only one path needs.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda r: fn(*r), ranges))
 
@@ -371,6 +373,8 @@ def _cell(v):
 
 def _write_table(fileobj, header, rows) -> None:
     """Write a header row and then the rows as CSV, each cell through ``_cell``."""
+    import csv
+
     writer = csv.writer(fileobj)
     writer.writerow(header)
     writer.writerows([_cell(v) for v in row] for row in rows)

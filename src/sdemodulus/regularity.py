@@ -34,7 +34,6 @@ the last step, is dropped by running its batch again without it.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import InitVar, asdict, dataclass, field
 
@@ -71,8 +70,6 @@ __all__ = [
     "ball_lattice",
     "verify_modulus",
 ]
-
-logger = logging.getLogger(__name__)
 
 _MAX_EXCLUDED_FRACTION = 0.01
 
@@ -247,7 +244,11 @@ def _check_exclusions(count: int, n_samples: int, what: str) -> None:
             "the estimate would be conditioned on survival"
         )
     if excluded:
-        logger.warning("%s: excluded %d of %d divergent samples", what, excluded, n_samples)
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "%s: excluded %d of %d divergent samples", what, excluded, n_samples
+        )
 
 
 def _sup_of_means(sums, dev, dev_sq, count, seed) -> MCEstimate:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import sdemodulus
 
@@ -76,3 +79,13 @@ def test_every_public_name_is_used_by_the_package_or_listed_with_a_reason():
     unused = set(sdemodulus.__all__) - _referenced_names()
     assert unused == set(ONLY_CALLED_BY_TESTS)
     assert all(ONLY_CALLED_BY_TESTS.values())
+
+
+def test_importing_the_package_loads_no_module_that_only_one_path_needs():
+    """The CLI parser, the config reader, CSV, the thread pool and logging load on first use."""
+    deferred = ("argparse", "configparser", "csv", "concurrent.futures", "logging")
+    code = f"import sys, sdemodulus, sdemodulus.cli; print([m for m in {deferred!r} if m in sys.modules])"
+    src = pathlib.Path(sdemodulus.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -144,7 +144,8 @@ def test_distance_small_exclusion_warns(caplog):
         est = estimate_distance(m, np.array([1.0]), np.array([0.9]), TimeGrid(1.0, 64), 400, 5)
     assert est.n_samples == 397
     assert math.isfinite(est.mean)
-    assert any("excluded 3 of 400" in r.message for r in caplog.records)
+    warned = [r for r in caplog.records if "excluded 3 of 400" in r.message]
+    assert warned and all(r.name == "sdemodulus.regularity" for r in warned)
 
 
 def test_ladder_pairs_exclude_the_same_samples(caplog):
@@ -158,7 +159,8 @@ def test_ladder_pairs_exclude_the_same_samples(caplog):
     ests = [regularity._sup_of_means(*s, count, 5) for s in sums]
     assert ests[0].n_samples == ests[1].n_samples == count < 400
     assert all(math.isfinite(e.mean) for e in ests)
-    assert sum("ladder: excluded" in r.message for r in caplog.records) == 1
+    warned = [r for r in caplog.records if "ladder: excluded" in r.message]
+    assert [r.name for r in warned] == ["sdemodulus.regularity"]
 
 
 # -- lattice and K constant ----------------------------------------------------------
@@ -417,9 +419,9 @@ def test_lattice_estimators_exclude_the_same_samples(caplog):
     assert len(counts) == 1 and counts.pop() < 400
     assert all(math.isfinite(e.mean) and math.isfinite(e.std_error) for e in ests)
     excluded = 400 - ests[0].n_samples
-    messages = [r.message for r in caplog.records]
-    assert sum(f"estimate_K: excluded {excluded} of 400" in s for s in messages) == 1
-    assert sum(f"moment_bound_check: excluded {excluded} of 400" in s for s in messages) == 2
+    for what, times in (("estimate_K", 1), ("moment_bound_check", 2)):
+        warned = [r for r in caplog.records if f"{what}: excluded {excluded} of 400" in r.message]
+        assert [r.name for r in warned] == ["sdemodulus.regularity"] * times
 
 
 class _NodeMax(regularity._Reducer):
