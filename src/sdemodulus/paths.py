@@ -251,7 +251,9 @@ def brownian_sup_values(
     """Per-sample sup over grid nodes of a node statistic of W, as an (n_samples,) array.
 
     ``slab_sup`` maps a (batch, steps, m) slab of path values to the
-    (batch,) sup of the statistic over the slab's nodes.  It is called on
+    (batch,) sup of the statistic over the slab's nodes, or to a (k, batch)
+    stack of the sups of k statistics, which gives a (k, n_samples) array
+    drawn from one set of paths.  It is called on
     W(0) = 0 first, once for the whole batch, and then slab by slab, and
     the running max of its values is returned, so the
     statistic must depend on each node's value alone and reduce each sample
@@ -279,7 +281,7 @@ def brownian_sup_values(
             np.maximum(best, slab_sup(block), out=best)
         return best
 
-    return np.concatenate(map_batches(one_batch, n_samples, batch, threads))
+    return np.concatenate(map_batches(one_batch, n_samples, batch, threads), axis=-1)
 
 
 def _abs_sup(w: np.ndarray) -> np.ndarray:
@@ -305,6 +307,64 @@ def _require_finite(est: MCEstimate, what: str) -> MCEstimate:
     return est
 
 
+def exp_sup_moment(c: float, alpha: float, m: int, norm: NormSpec = EUCLIDEAN) -> tuple:
+    """Check the arguments of ``estimate_exp_moment``; return its moment for ``sup_moments``.
+
+    A moment is the triple (m, slab_sup, finish): the dimension of W, the
+    ``slab_sup`` of ``brownian_sup_values``, and the map from the sups and
+    the seed to the estimate.
+    """
+    _scalar("c", c)
+    m = _count("m", m, 1)
+    if not (0.0 <= alpha < 2.0):
+        raise ValueError(f"alpha must lie in [0, 2), got {alpha}")
+
+    slab_sup = _abs_sup if m == 1 else lambda w: np.max(norm(w), axis=1)
+
+    def finish(sups: np.ndarray, seed: int) -> MCEstimate:
+        with np.errstate(over="ignore"):
+            est = _mc_from_samples(np.exp(c * sups ** alpha), seed)
+        return _require_finite(est, f"E[sup exp(c |W|^alpha)] at c = {c}, alpha = {alpha}")
+
+    return m, slab_sup, finish
+
+
+def poly_sup_moment(r: float, sigma: np.ndarray, norm_state: NormSpec = EUCLIDEAN) -> tuple:
+    """Check the arguments of ``estimate_poly_moment``; return its moment for ``sup_moments``."""
+    _scalar("r", r)
+    sigma = _points(sigma, None, "sigma", stack=True)
+    if sigma.shape == (1, 1):
+        scale, slab_sup = abs(sigma[0, 0]), _abs_sup
+    else:  # 1.0 * x is x, bitwise
+        sig_t = sigma.T
+        scale, slab_sup = 1.0, lambda w: np.max(norm_state(w @ sig_t), axis=1)
+
+    def finish(sups: np.ndarray, seed: int) -> MCEstimate:
+        with np.errstate(over="ignore"):
+            est = _mc_from_samples((scale * sups) ** r, seed)
+        return _require_finite(est, f"E[sup |sigma W|^r] at r = {r}")
+
+    return sigma.shape[1], slab_sup, finish
+
+
+def sup_moments(moments, grid: TimeGrid, n_samples: int, seed: int, threads: int = 1) -> list:
+    """The estimate of each moment, in order, all from one set of paths of ``seed``.
+
+    Each slab feeds every moment's statistic, and a statistic that two
+    moments share (at m = 1 both take ``_abs_sup``) only once, so each
+    estimate is bitwise the one its moment gives alone.  The moments are
+    finished in order: the first whose mean leaves the floats raises.
+    """
+    ms = {m for m, _, _ in moments}
+    if len(ms) != 1:
+        raise GridMismatchError(f"the moments must share one dimension m, got {sorted(ms)}")
+    stats = list(dict.fromkeys(slab_sup for _, slab_sup, _ in moments))
+    sups = brownian_sup_values(
+        seed, grid, ms.pop(), lambda w: [s(w) for s in stats], n_samples, threads
+    )
+    return [finish(sups[stats.index(slab_sup)], seed) for _, slab_sup, finish in moments]
+
+
 def estimate_exp_moment(
     c: float,
     alpha: float,
@@ -323,15 +383,8 @@ def estimate_exp_moment(
     with M the node sup of |W|; that is what each sample evaluates.  Raises
     EstimatorError if the mean or its standard error leaves the floats.
     """
-    _scalar("c", c)
-    m = _count("m", m, 1)
-    if not (0.0 <= alpha < 2.0):
-        raise ValueError(f"alpha must lie in [0, 2), got {alpha}")
-    slab_sup = _abs_sup if m == 1 else lambda w: np.max(norm(w), axis=1)
-    sups = brownian_sup_values(seed, grid, m, slab_sup, n_samples, threads)
-    with np.errstate(over="ignore"):
-        est = _mc_from_samples(np.exp(c * sups ** alpha), seed)
-    return _require_finite(est, f"E[sup exp(c |W|^alpha)] at c = {c}, alpha = {alpha}")
+    [est] = sup_moments([exp_sup_moment(c, alpha, m, norm)], grid, n_samples, seed, threads)
+    return est
 
 
 def estimate_poly_moment(
@@ -347,19 +400,8 @@ def estimate_poly_moment(
 
     Raises EstimatorError if the mean or its standard error leaves the floats.
     """
-    _scalar("r", r)
-    sigma = _points(sigma, None, "sigma", stack=True)
-    m = sigma.shape[1]
-    if sigma.shape == (1, 1):
-        sups = abs(sigma[0, 0]) * brownian_sup_values(seed, grid, m, _abs_sup, n_samples, threads)
-    else:
-        sig_t = sigma.T
-        sups = brownian_sup_values(
-            seed, grid, m, lambda w: np.max(norm_state(w @ sig_t), axis=1), n_samples, threads
-        )
-    with np.errstate(over="ignore"):
-        est = _mc_from_samples(sups ** r, seed)
-    return _require_finite(est, f"E[sup |sigma W|^r] at r = {r}")
+    [est] = sup_moments([poly_sup_moment(r, sigma, norm_state)], grid, n_samples, seed, threads)
+    return est
 
 
 def _cell(v):

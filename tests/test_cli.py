@@ -18,7 +18,7 @@ from datetime import datetime
 import pytest
 
 import sdemodulus.cli as cli
-from sdemodulus import DriftModel
+from sdemodulus import DriftModel, derive_seed, paths, substream
 from sdemodulus.cli import (
     ExperimentConfig,
     UsageError,
@@ -507,8 +507,8 @@ def test_moments_golden(capsys):
     assert got == [
         "0x1.f6e7fc2538ae5p+1",
         "0x1.f869cb5eaa02bp-5",
-        "0x1.3ace26f990251p+0",
-        "0x1.6ce07575b1190p-7",
+        "0x1.38e6ce96a030bp+0",
+        "0x1.60106f47d04f0p-7",
     ]
 
 
@@ -523,11 +523,11 @@ exp_moment.n_samples,4\r
 exp_moment.seed,5836529245451711556\r
 exp_moment.std_error,0.3141626658936846\r
 model,zero\r
-poly_moment.mean,0.9827646416908279\r
+poly_moment.mean,0.5985317560115828\r
 poly_moment.n_samples,4\r
 poly_moment.r,1.0\r
-poly_moment.seed,17195319236771816063\r
-poly_moment.std_error,0.35361284155970285\r
+poly_moment.seed,5836529245451711556\r
+poly_moment.std_error,0.1752615305256133\r
 """
 
 
@@ -600,6 +600,37 @@ def test_moments_single_sample_exits_1(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "sdemod: error: samples must be an integer >= 2, got 1\n"
+
+
+def test_moments_checks_every_argument_before_it_draws(monkeypatch, capsys):
+    """A bad r fails before any path of the exp moment is drawn."""
+
+    def no_draw(seed, index):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(paths, "substream", no_draw)
+    args = ["moments", "--model", "zero", "--r", "-1", "--steps", "10000", "--samples", "2048"]
+    assert main(args + ["--deterministic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sdemod: error: r must be finite and >= 0, got -1.0\n"
+
+
+def test_moments_draws_one_set_of_paths_for_both_moments(monkeypatch, capsys):
+    """At N = 10^4 a batch is 13 whole paths: 100 samples build 8 generators of one seed."""
+    built = []
+
+    def counted(seed, index):
+        built.append((seed, index))
+        return substream(seed, index)
+
+    monkeypatch.setattr(paths, "substream", counted)
+    args = ["moments", "--model", "zero", "--steps", "10000", "--samples", "100", "--seed", "5"]
+    assert main(args + ["--deterministic"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    seed = derive_seed(5, 1)
+    assert built == [(seed, i) for i in range(0, 100, 13)]
+    assert payload["exp_moment"]["seed"] == payload["poly_moment"]["seed"] == seed
 
 
 @pytest.mark.parametrize("where, why", [("missing/x.json", "No such file"), (".", "Is a directory")])
@@ -898,6 +929,36 @@ def test_config_may_hold_keys_the_subcommand_does_not_read(tmp_path, capsys):
 
 _TEXT = {float: "0.5", int: "3", str: "zero", _parse_floats: "0.5, 0.25", _parse_bool: "true"}
 _STR_TEXT = {"format": "csv", "norm_state": "max", "norm_noise": "max"}
+
+
+def test_a_second_call_builds_no_parser(monkeypatch, capsys):
+    """The parser is built once per process, not once per call."""
+    argv = ["moments", "--model", "zero", "--steps", "8", "--samples", "4", "--deterministic"]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    assert built == []
+
+
+def test_a_usage_error_leaves_the_cached_parser_as_it_was(capsys):
+    """After a rejected call the same parser reads a valid one as a newly built parser does."""
+    argv = ["moments", "--model", "zero", "--steps", "8", "--samples", "4", "--deterministic"]
+    _build_parser.cache_clear()
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    assert main(["moments", "--model", "zero", "--steps", "x"]) == 1
+    assert capsys.readouterr().err.startswith("sdemod: error: argument --steps: invalid int value")
+    assert main(["moments", "--nope"]) == 1
+    assert capsys.readouterr().err == "sdemod: error: unrecognized arguments: --nope\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 def _subcommand_flags():

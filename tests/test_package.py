@@ -44,6 +44,8 @@ ONLY_CALLED_BY_TESTS = {
     "estimate_distance": _PATCHED,
     "estimate_K": _PATCHED,
     "moment_bound_check": _PATCHED,
+    "estimate_exp_moment": _PATCHED,
+    "estimate_poly_moment": _PATCHED,
 }
 
 

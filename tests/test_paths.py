@@ -39,6 +39,9 @@ from sdemodulus.paths import (
     _rekey,
     brownian_slabs,
     brownian_sup_values,
+    exp_sup_moment,
+    poly_sup_moment,
+    sup_moments,
 )
 
 
@@ -426,6 +429,53 @@ def test_estimators_thread_invariant():
             for t in (1, 2)
         ]
         assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "m, sigma, norm_noise, norm_state, mean, std_error",
+    [
+        (1, [[-2.5]], "euclidean", "euclidean", "0x1.46b149c34d9ffp+2", "0x1.449495a7f2a69p-4"),
+        (2, [[1.0, 0.5], [0.0, 2.0]], "max", "one", "0x1.88a3f7ea4e292p+2", "0x1.6adb2b3d67b93p-4"),
+    ],
+    ids=["m1-scalar", "m2-dense"],
+)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_both_moments_from_one_pass_are_each_estimator_alone(
+    m, sigma, norm_noise, norm_state, mean, std_error, threads
+):
+    """Over two batches, each moment of one shared pass is bitwise its estimator at that seed.
+
+    The poly hex values were recorded from ``estimate_poly_moment`` while it
+    still drew its own paths.
+    """
+    g, n, seed = TimeGrid(1.0, 16), BATCH_SAMPLES + 1, 24
+    nn, ns = NormSpec(norm_noise), NormSpec(norm_state)
+    exp_est, poly_est = sup_moments(
+        [exp_sup_moment(0.5, 1.5, m, nn), poly_sup_moment(1.5, sigma, ns)], g, n, seed, threads
+    )
+    assert exp_est == estimate_exp_moment(0.5, 1.5, g, m, n, seed, norm=nn, threads=threads)
+    assert poly_est == estimate_poly_moment(1.5, sigma, g, n, seed, norm_state=ns, threads=threads)
+    assert (poly_est.mean.hex(), poly_est.std_error.hex()) == (mean, std_error)
+
+
+def test_a_statistic_both_moments_share_runs_once_per_slab(monkeypatch):
+    """At m = 1 both moments read the sup of |W|: once on W(0) and once per slab of each batch."""
+    calls = []
+
+    def counted(w):
+        calls.append(w.shape)
+        return _abs_sup(w)
+
+    monkeypatch.setattr(paths, "_abs_sup", counted)
+    moments = [exp_sup_moment(1.0, 1.0, 1), poly_sup_moment(1.0, [[2.0]])]
+    sup_moments(moments, TimeGrid(1.0, 10_000), 100, 9)
+    assert calls == [(13, 1, 1), (13, 10_000, 1)] * 7 + [(9, 1, 1), (9, 10_000, 1)]
+
+
+def test_moments_of_two_dimensions_share_no_pass():
+    moments = [exp_sup_moment(1.0, 1.0, 1), poly_sup_moment(1.0, np.eye(2))]
+    with pytest.raises(GridMismatchError, match=r"share one dimension m, got \[1, 2\]"):
+        sup_moments(moments, TimeGrid(1.0, 8), 4, 0)
 
 
 _SIGMAS = (1.0, -2.5, 0.0, 0.1)
