@@ -186,7 +186,7 @@ class UsageError(Exception):
     """Bad flags or bad config file: exit status 1."""
 
 
-_INI_LINE = re.compile(r"^\s*(?:\[(.+)\]|([^;#\[\s][^=:]*?)\s*[=:])")  # [section] or key =
+_INI_KEY = re.compile(r"^\s*([^;#\[\s][^=:]*?)\s*[=:]")  # key =, never [section]
 
 
 def _parse_ini(text: str, source: str) -> dict:
@@ -197,6 +197,13 @@ def _parse_ini(text: str, source: str) -> dict:
     """
     import configparser
 
+    key_lines: dict[str, int] = {}  # key -> line: a key appears once in the whole file
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        m = _INI_KEY.match(line)
+        if m and m.group(1) in key_lines:
+            raise UsageError(f"{source}:{lineno}: duplicate key {m.group(1)!r}")
+        if m:
+            key_lines[m.group(1)] = lineno
     # "" can name no [section], so [DEFAULT] is read like any other section.
     parser = configparser.ConfigParser(interpolation=None, strict=True, default_section="")
     parser.optionxform = str  # keys are case-sensitive (T vs t)
@@ -204,22 +211,12 @@ def _parse_ini(text: str, source: str) -> dict:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
         raise UsageError(f"{source}: {exc}") from exc
-    key_lines: dict[tuple, int] = {}  # (section, key) -> line; strict forbids repeats in one
-    section = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        m = _INI_LINE.match(line)
-        if m and m.group(1):
-            section = m.group(1)
-        elif m:
-            key_lines[section, m.group(2).strip()] = lineno
     values: dict = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            where = f"{source}:{key_lines.get((section, key), '?')}"
+            where = f"{source}:{key_lines.get(key, '?')}"
             if key not in _OPTIONS:
                 raise UsageError(f"{where}: unknown key {key!r}")
-            if key in values:
-                raise UsageError(f"{where}: duplicate key {key!r}")
             try:
                 values[key] = _OPTIONS[key]["parse"](raw)
             except ValueError as exc:

@@ -244,24 +244,23 @@ def brownian_sup_values(
     seed: int,
     grid: TimeGrid,
     m: int,
-    slab_sup,
+    stats,
     n_samples: int,
     threads: int = 1,
 ) -> np.ndarray:
-    """Per-sample sup over grid nodes of a node statistic of W, as an (n_samples,) array.
+    """Per-sample sup over grid nodes of each statistic of W in ``stats``: (len(stats), n_samples).
 
-    ``slab_sup`` maps a (batch, steps, m) slab of path values to the
-    (batch,) sup of the statistic over the slab's nodes, or to a (k, batch)
-    stack of the sups of k statistics, which gives a (k, n_samples) array
-    drawn from one set of paths.  It is called on
+    ``stats`` is a list; each maps a (batch, steps, m) slab of path values
+    to the (batch,) sup of its statistic over the slab's nodes, and all
+    read one set of paths.  Each is called on
     W(0) = 0 first, once for the whole batch, and then slab by slab, and
-    the running max of its values is returned, so the
+    the running max of its values is returned, so a
     statistic must depend on each node's value alone and reduce each sample
     on its own.  No reduction crosses samples, so a batch is as small as
     cache wants it: ``min(BATCH_SAMPLES, max(1, _SLAB_FLOATS // (N m)))``
     whole paths, whose one slab then fits the budget of ``brownian_slabs``
     (1 MiB of floats; 13 samples at m = 1 and N = 10^4), so it stays in
-    cache while ``slab_sup`` reads it, and one generator draws the batch.
+    cache while ``stats`` read it, and one generator draws the batch.
     Every sup is the one a batch of any other size gives.
 
     The estimators pass ``lambda w: np.max(norm(w), axis=1)``, or for a
@@ -276,16 +275,16 @@ def brownian_sup_values(
     batch = min(BATCH_SAMPLES, max(1, _SLAB_FLOATS // (grid.N * m)))
 
     def one_batch(lo: int, hi: int) -> np.ndarray:
-        best = np.asarray(slab_sup(np.zeros((hi - lo, 1, m))), dtype=float)
+        best = np.array([s(np.zeros((hi - lo, 1, m))) for s in stats])
         for block in brownian_slabs(seed, range(lo, hi), grid, m):
-            np.maximum(best, slab_sup(block), out=best)
+            np.maximum(best, [s(block) for s in stats], out=best)
         return best
 
-    return np.concatenate(map_batches(one_batch, n_samples, batch, threads), axis=-1)
+    return np.concatenate(map_batches(one_batch, n_samples, batch, threads), axis=1)
 
 
 def _abs_sup(w: np.ndarray) -> np.ndarray:
-    """The ``slab_sup`` of |W| for a (batch, steps, 1) slab: max(max W, -min W)."""
+    """The slab statistic of |W| for a (batch, steps, 1) slab: max(max W, -min W)."""
     w = w[..., 0]
     return np.maximum(np.max(w, axis=1), -np.min(w, axis=1))
 
@@ -310,8 +309,8 @@ def _require_finite(est: MCEstimate, what: str) -> MCEstimate:
 def exp_sup_moment(c: float, alpha: float, m: int, norm: NormSpec = EUCLIDEAN) -> tuple:
     """Check the arguments of ``estimate_exp_moment``; return its moment for ``sup_moments``.
 
-    A moment is the triple (m, slab_sup, finish): the dimension of W, the
-    ``slab_sup`` of ``brownian_sup_values``, and the map from the sups and
+    A moment is the triple (m, slab_sup, finish): the dimension of W, its
+    item of the ``stats`` of ``brownian_sup_values``, and the map from the sups and
     the seed to the estimate.
     """
     _scalar("c", c)
@@ -359,9 +358,7 @@ def sup_moments(moments, grid: TimeGrid, n_samples: int, seed: int, threads: int
     if len(ms) != 1:
         raise GridMismatchError(f"the moments must share one dimension m, got {sorted(ms)}")
     stats = list(dict.fromkeys(slab_sup for _, slab_sup, _ in moments))
-    sups = brownian_sup_values(
-        seed, grid, ms.pop(), lambda w: [s(w) for s in stats], n_samples, threads
-    )
+    sups = brownian_sup_values(seed, grid, ms.pop(), stats, n_samples, threads)
     return [finish(sups[stats.index(slab_sup)], seed) for _, slab_sup, finish in moments]
 
 

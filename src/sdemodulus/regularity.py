@@ -52,7 +52,7 @@ from .paths import (
     brownian_slabs,
     derive_seed,
     map_batches,
-    substream,  # not called here; kept so bench/layers.py and tests can patch it
+    substream,  # not called here; kept so bench/layers.py can patch it
 )
 
 __all__ = [
@@ -80,14 +80,11 @@ _MAX_EXCLUDED_FRACTION = 0.01
 class _Reducer:
     """Folds the nodes of one batch into ``out``, a list of arrays.
 
-    For each Euler step the kernel calls ``step(X, mu)`` with the state
-    block the step starts from and its drift, and then ``node(k, X)`` with
-    the block at node k that the step reaches.  ``finite()``, after the
-    last step, is a (B,) mask of the samples its state keeps, or True.
+    For each Euler step the kernel calls ``advance(k, X, mu, nxt)`` with the
+    state block X the step starts from, its drift mu, and the block nxt at
+    node k that the step reaches.  ``finite()``, after the last step, is a
+    (B,) mask of the samples its state keeps, or True.
     """
-
-    def step(self, X, mu):
-        pass
 
     def finite(self):
         return True
@@ -112,10 +109,8 @@ class _PairSums(_Reducer):
         self.out = [np.empty(s.shape[1:] + (N + 1,)) for s in stats(v, self.v0)]
         self._record(0, v)
 
-    def step(self, X, mu):
+    def advance(self, k, X, mu, nxt):
         self.delta = self.delta + self.dt * (mu - self.model.mu_batch(X - self.delta))
-
-    def node(self, k, X):
         self._record(k, self.model.norm_state(self.delta).T)
 
     def _record(self, k, v):
@@ -155,8 +150,8 @@ class _LatticeSums(_Reducer):
         self.out = [np.empty((L, N + 1)) for _ in stats(nrm, self.v0)] + [self.top]
         self._record(0, nrm)
 
-    def node(self, k, X):
-        self._record(k, self.model.norm_state(X))
+    def advance(self, k, X, mu, nxt):
+        self._record(k, self.model.norm_state(nxt))
 
     def _record(self, k, nrm):
         np.maximum(self.top, nrm, out=self.top)
@@ -203,9 +198,8 @@ def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):
         red = reducer(X)
         with np.errstate(over="ignore", invalid="ignore"):
             for k, (mu, nxt) in enumerate(_euler_steps(model, X, grid.dt, sigma_w), 1):
-                red.step(X, mu)
+                red.advance(k, X, mu, nxt)
                 X = nxt
-                red.node(k, X)
         return np.isfinite(X).reshape(B, -1).all(axis=1) & red.finite(), red
 
     def one_batch(lo, hi):
@@ -432,8 +426,9 @@ def _K_from_max(model, top, q, safety, seed) -> MCEstimate:
     r -> phi(r)^(4q+4) and r -> r^2 are non-decreasing in floats, so mapping
     the max gives the max of the mapped values, bitwise.
     """
-    phi = model.kappa * (1.0 + top ** model.kappa)  # phi_state at the max
-    ests = [_mc_from_samples(a, seed) for a in (phi ** (4.0 * q + 4.0), top * top)]
+    with np.errstate(over="ignore"):  # the caller names a K that overflows
+        phi = model.kappa * (1.0 + top ** model.kappa)  # phi_state at the max
+        ests = [_mc_from_samples(a, seed) for a in (phi ** (4.0 * q + 4.0), top * top)]
     mean = max(e.mean for e in ests)
     se = max(e.std_error for e in ests)
     return MCEstimate(mean=mean * safety, std_error=se * safety, n_samples=len(top), seed=int(seed))
@@ -466,8 +461,7 @@ def estimate_K(
         model, R, x_grid_points, lattice, grid, seed, n_samples, threads,
         lambda v, v0: (), "estimate_K",
     )
-    with np.errstate(over="ignore"):
-        est = _K_from_max(model, top, q, safety, seed)
+    est = _K_from_max(model, top, q, safety, seed)
     return _require_finite(est, f"K at q = {q}, R = {R}")
 
 
@@ -688,8 +682,7 @@ def verify_modulus(
         model, R, x_grid_points, None, grid, lattice_seed, n_samples, threads,
         _norm_only, "K and C",
     )
-    with np.errstate(over="ignore"):  # RegularityConstants names a K that overflows
-        k_est = _K_from_max(model, top, q, safety, lattice_seed)
+    k_est = _K_from_max(model, top, q, safety, lattice_seed)  # RegularityConstants names an inf K
     c_means = c_sums / lattice_count  # read as _sup_of_means reads its mean
     C = float(c_means.flat[np.argmax(c_means)])
     constants = RegularityConstants(float(R), float(q), k_est.mean, C, grid.T)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import sdemodulus
-from sdemodulus import paths, regularity
+from sdemodulus import paths
 from sdemodulus.bounds import (
     discrete_gronwall_bound,
     discrete_gronwall_check,
@@ -138,7 +138,6 @@ def no_substreams(monkeypatch):
         raise AssertionError("a substream was built before the arguments were checked")
 
     monkeypatch.setattr(paths, "substream", fail)
-    monkeypatch.setattr(regularity, "substream", fail)
 
 
 @pytest.mark.parametrize(

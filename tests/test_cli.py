@@ -104,9 +104,10 @@ def test_config_unknown_key_reports_line():
 
 
 def test_config_duplicate_key_rejected():
+    """A repeat in one section gets the message and line a repeat across sections gets."""
     text = "[experiment]\nseed = 1\nseed = 2\n"
-    with pytest.raises(UsageError):
-        ExperimentConfig.from_ini(text)
+    with pytest.raises(UsageError, match=r"^x\.ini:3: duplicate key 'seed'$"):
+        ExperimentConfig.from_ini(text, "x.ini")
 
 
 def test_config_duplicate_key_across_sections_cites_the_duplicate():
@@ -495,7 +496,7 @@ def test_moments_runs(capsys):
 
 
 def test_moments_golden(capsys):
-    """Both moments of the zero model over two batches and three slabs, as float.hex."""
+    """Both moments of the zero model over 49 batches of one whole-path slab each, as float.hex."""
     args = ["moments", "--model", "zero", "--steps", "3000", "--samples", "2100", "--deterministic"]
     assert main(args) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -509,6 +510,25 @@ def test_moments_golden(capsys):
         "0x1.f869cb5eaa02bp-5",
         "0x1.38e6ce96a030bp+0",
         "0x1.60106f47d04f0p-7",
+    ]
+
+
+def test_moments_golden_across_a_slab_boundary(capsys):
+    """Two distinct statistics on two slabs a path: N m = 140000 > 2**17, one sample a batch."""
+    args = ["moments", "--model", "ou_nd", "--d", "2", "--steps", "70000", "--samples", "3",
+            "--deterministic"]
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    got = [
+        float.hex(payload[k][f])
+        for k in ("exp_moment", "poly_moment")
+        for f in ("mean", "std_error")
+    ]
+    assert got == [
+        "0x1.400a916f98d4dp+2",
+        "0x1.0a5948b555c90p+1",
+        "0x1.727396a9ab064p+0",
+        "0x1.9249e46b28aa5p-2",
     ]
 
 
@@ -656,6 +676,34 @@ def test_unwritable_out_exits_1_before_the_run(where, tmp_path, monkeypatch, cap
     assert main(["verify-modulus", "--model", "zero", "--out", str(tmp_path / where)]) == 1
     assert capsys.readouterr().err.startswith("sdemod: error: cannot write output file: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_under_a_regular_file_exits_1_before_the_run(tmp_path, monkeypatch, capsys):
+    """A path through a regular file fails its stat with ENOTDIR: no run, and nothing written."""
+
+    def runner(cfg, model, grid):
+        raise AssertionError("the runner ran before --out was checked")
+
+    monkeypatch.setitem(cli._RUNNERS, "verify-modulus", runner)
+    (tmp_path / "file").write_bytes(b"kept\n")
+    out = tmp_path / "file" / "x.json"
+    assert main(["verify-modulus", "--model", "zero", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"sdemod: error: cannot write output file: [Errno 20] Not a directory: {str(out)!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == [tmp_path / "file"]
+    assert (tmp_path / "file").read_bytes() == b"kept\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_out_to_a_full_device_exits_1(capsys):
+    """A device is written directly once the report is done; its ENOSPC is a usage error."""
+    assert main(["solve", "--model", "zero", "--steps", "4", "--out", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "sdemod: error: cannot write output file: [Errno 28] No space left on device: '/dev/full'\n"
+    )
 
 
 def test_failed_run_leaves_an_existing_out_file_as_it_was(tmp_path, capsys):

@@ -172,7 +172,7 @@ def test_a_sup_moment_batch_builds_one_generator(monkeypatch):
 
     monkeypatch.setattr(paths, "substream", counted)
     grid, seed = TimeGrid(1.0, 10_000), 9
-    sups = [brownian_sup_values(seed, grid, 1, _abs_sup, 100, threads=t) for t in (1, 2)]
+    sups = [brownian_sup_values(seed, grid, 1, [_abs_sup], 100, threads=t)[0] for t in (1, 2)]
     assert sorted(built) == sorted(2 * list(range(0, 100, 13)))
     want = [np.max(np.abs(_one_sum(seed, i, grid, 1))) for i in range(100)]
     assert sups[0].tobytes() == sups[1].tobytes() == np.array(want).tobytes()
@@ -188,7 +188,7 @@ def test_sups_and_sample_path_are_one_sum_on_both_sides_of_1_mib(N, m):
 
     want = np.array([stat(_one_sum(seed, i, grid, m)) for i in range(n)])
     for threads in (1, 2):
-        got = brownian_sup_values(seed, grid, m, stat, n, threads)
+        [got] = brownian_sup_values(seed, grid, m, [stat], n, threads)
         assert got.tobytes() == want.tobytes()
     assert sample_path(seed, grid, m).values.tobytes() == _one_sum(seed, 0, grid, m).tobytes()
 
@@ -200,7 +200,7 @@ def test_sup_values_take_the_path_of_sample_path():
         values = sample_path(seed, grid, m).values[None]
         for stat in (lambda w: np.exp(w[..., 0]), lambda w: np.exp(-w[..., 1])):
             want = np.max(stat(values))
-            got = brownian_sup_values(seed, grid, m, lambda w: np.max(stat(w), axis=1), 2)
+            [got] = brownian_sup_values(seed, grid, m, [lambda w: np.max(stat(w), axis=1)], 2)
             assert got[0] == want
 
 
@@ -495,7 +495,7 @@ def test_scalar_sup_is_the_node_sup_of_every_norm_bitwise(N):
         return np.concatenate([np.zeros((1, 1)), *(block[0].copy() for block in slabs)])
 
     w0, w1, w2048 = sample_path(seed, grid, 1).values, node_values(1), node_values(2048)
-    sups = brownian_sup_values(seed, grid, 1, _abs_sup, 2049)
+    [sups] = brownian_sup_values(seed, grid, 1, [_abs_sup], 2049)
     for kind in ("euclidean", "max", "one"):
         norm = NormSpec(kind)
         want = np.array([np.max(norm(w)) for w in (w0, w1)])

@@ -436,8 +436,8 @@ class _NodeMax(regularity._Reducer):
         stats = (self.model.phi_state(X) ** self.expo, nrm * nrm, nrm ** self.r)
         return [np.max(s, axis=1) for s in stats]
 
-    def node(self, k, X):
-        for best, s in zip(self.out, self._stats(X)):
+    def advance(self, k, X, mu, nxt):
+        for best, s in zip(self.out, self._stats(nxt)):
             np.maximum(best, s, out=best)
 
 
@@ -477,8 +477,8 @@ class _SampleZero(regularity._Reducer):
         self.out = np.empty((N + 1,) + X.shape[1:])
         self.out[0] = X[0]
 
-    def node(self, k, X):
-        self.out[k] = X[0]
+    def advance(self, k, X, mu, nxt):
+        self.out[k] = nxt[0]
 
 
 # every catalog sigma is noise * I with m == d; this one places 2-wide noise on 3-wide states
@@ -540,8 +540,8 @@ class _States(regularity._Reducer):
         self.out = np.empty((len(X), N + 1) + X.shape[1:])
         self.out[:, 0] = X
 
-    def node(self, k, X):
-        self.out[:, k] = X
+    def advance(self, k, X, mu, nxt):
+        self.out[:, k] = nxt
 
 
 def _own_path(seed, i, grid):
