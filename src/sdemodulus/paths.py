@@ -265,11 +265,8 @@ def brownian_sup_values(
 
     The estimators pass ``lambda w: np.max(norm(w), axis=1)``, or for a
     scalar path ``_abs_sup``, which takes max(max W, -min W) and no norm at
-    all.  Every ``NormSpec`` kind is |.| on R^1, sqrt(fl(w * w)) = |w| in
-    round-to-nearest, and fl(|s| |w|) is monotone in |w|, so the two agree
-    bitwise, also after a scale by |sigma|, except where |sigma w| at the
-    sup node is below about 1.5e-154 or above about 1.3e154: there w * w
-    under- or overflows, and the shortcut gives the exact value.
+    all.  Every ``NormSpec`` kind is |.| on R^1, and fl(|s| |w|) is
+    monotone in |w|, so the two agree bitwise, also after a scale by |sigma|.
     """
 
     batch = min(BATCH_SAMPLES, max(1, _SLAB_FLOATS // (grid.N * m)))

@@ -110,7 +110,10 @@ class _PairSums(_Reducer):
         self._record(0, v)
 
     def advance(self, k, X, mu, nxt):
-        self.delta = self.delta + self.dt * (mu - self.model.mu_batch(X - self.delta))
+        y = X - self.delta  # own temporary, so in place even for a drift that returns its input
+        np.subtract(mu, self.model.mu_batch(y), out=y)
+        y *= self.dt  # bitwise dt * (mu - mu(X - Delta)): a float product commutes
+        self.delta += y
         self._record(k, self.model.norm_state(self.delta).T)
 
     def _record(self, k, v):
@@ -267,7 +270,7 @@ def _sup_of_means(sums, dev, dev_sq, count, seed) -> MCEstimate:
 def _mean_and_spread(v, v0):
     """The node stats of ``_sup_of_means``: v, and v - v0 with its square."""
     dev = v - v0
-    return v, dev, dev * dev
+    return v, dev, np.square(dev)
 
 
 def _norm_only(v, v0):

@@ -949,6 +949,20 @@ def test_verify_modulus_radius_beyond_the_lattice_norm_exits_1(capsys):
     assert "radius must" in captured.err
 
 
+def test_verify_modulus_radius_whose_square_overflows_exits_2_naming_K(capsys):
+    """In one coordinate the lattice of radius 1e200 is finite, and K = inf names the failure."""
+    args = [
+        "verify-modulus", "--model", "linear1d", "--R", "1e200", "--samples", "16", "--steps", "8",
+        "--deterministic",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sdemod: estimator failure: K = inf is not finite")
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     p = tmp_path / "exp.ini"
     p.write_text("[experiment]\nmodel = zero\nsteps = 4\nx0 = 0.0\n")

@@ -132,22 +132,60 @@ def test_norm_is_bitwise_numpys_row_reduction(kind, d):
     Short rows are folded column by column in numpy's own order; a numpy
     release that reduces them in another order fails here instead of
     silently changing every estimate.  Magnitudes spread over 26 decades
-    make the order show in the last bits.
+    make the order show in the last bits.  On R^1 every kind is np.abs,
+    also where the euclidean sqrt(v * v) would under- or overflow.
     """
     rng = np.random.default_rng(d)
-    norm, reference = NormSpec(kind), _ROW_REDUCTIONS[kind]
+    norm = NormSpec(kind)
+    reference = (lambda v: np.abs(v[..., 0])) if d == 1 else _ROW_REDUCTIONS[kind]
     v = rng.standard_normal((4, 6, d)) * 10.0 ** rng.uniform(-13.0, 13.0, (4, 6, d))
     v[1, 0, 0] = np.inf
     v[1, 1, -1] = -np.inf
     v[1, 2, 0] = np.nan
     v[1, 3] = 1e-200  # squares underflow to 0
     v[1, 4, -1] = 1e200  # square overflows
+    v[1, 5, 0] = -0.0
     for a in (v[1, 3], v[2, 0], v[1], v, v.transpose(1, 0, 2)):
         before = a.copy()
         with np.errstate(over="ignore"):
             assert np.array_equal(norm(a), reference(a), equal_nan=True)
         assert np.array_equal(a, before, equal_nan=True)
     assert float(norm(v[2, 0])) == float(reference(v[2, 0]))
+
+
+def test_sqrt_of_a_normal_square_is_abs_bitwise():
+    """sqrt(fl(v * v)) = |v| wherever v * v is a normal float, 2^-511 <= |v| < 2^512.
+
+    This is why every kind of NormSpec takes |v| on R^1: a numpy release
+    whose sqrt or product rounds otherwise fails here.  Outside that range
+    the square under- or overflows, and only |v| is the norm.
+    """
+    rng = np.random.default_rng(7)
+    exponents = np.arange(-511, 512)
+    mantissas = rng.uniform(1.0, 2.0, (len(exponents), 64))
+    mantissas[:, 0], mantissas[:, 1] = 1.0, np.nextafter(2.0, 0.0)  # each binade's ends
+    v = np.ldexp(mantissas, exponents[:, None]) * rng.choice([-1.0, 1.0], mantissas.shape)
+    assert np.array_equal(np.sqrt(v * v), np.abs(v))
+    with np.errstate(over="ignore"):
+        assert all(np.sqrt(x * x) != x for x in (1e-200, 1e-160, 1e200))  # 0, 9.99994e-161, inf
+
+
+def test_square_is_the_self_product_bitwise():
+    """np.square(x) is x * x bit for bit, at every magnitude and in every loop.
+
+    The drifts and norms call np.square for its speed; a numpy release whose
+    square loop rounds, signs a zero or quiets a NaN otherwise fails here.
+    """
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-160, 1e-200, 1e200, -1.5e154,
+               1.7e308, np.inf, -np.inf, np.nan, -np.nan]
+    rng = np.random.default_rng(11)
+    for shape in ((512, 9, 1), (256, 49, 2), (3,), (1,)):
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
+        x.flat[: len(special)] = special[: x.size]
+        for a in (x, x[..., ::-1], np.float64(x.flat[0])):  # contiguous, strided, scalar
+            with np.errstate(over="ignore", under="ignore"):
+                got, want = np.asarray(np.square(a)), np.asarray(a * a)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_norm_unknown_kind():

@@ -510,6 +510,22 @@ def test_scalar_sup_is_the_node_sup_of_every_norm_bitwise(N):
             assert abs(s) * sups[2048] == np.max(norm(w2048 @ sigma.T))
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "max", "one"])
+def test_scalar_sup_is_the_node_sup_of_every_norm_where_squares_leave_the_normals(kind):
+    """Also where w * w under- or overflows, the scaled scalar sup is the norm's node sup, bitwise.
+
+    The euclidean norm of one coordinate is |w|, not sqrt(w * w), which gives
+    0, 9.99994e-161 and inf at these three sups.
+    """
+    norm = NormSpec(kind)
+    for top in (1e-200, 1e-160, 1e200):
+        w = np.array([0.0, 0.5 * top, -top, 0.25 * top, -0.75 * top])[None, :, None]
+        for s in _SIGMAS:
+            sigma = np.array([[s]])
+            want = np.max(norm(w @ sigma.T), axis=1)
+            assert (abs(s) * _abs_sup(w)).tobytes() == want.tobytes()
+
+
 def test_scalar_estimators_evaluate_no_norm(monkeypatch):
     """For m = 1 both estimators take the sup from max and min, not from a norm per node."""
 

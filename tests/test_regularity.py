@@ -148,6 +148,27 @@ def test_distance_small_exclusion_warns(caplog):
     assert warned and all(r.name == "sdemodulus.regularity" for r in warned)
 
 
+def test_pair_sums_step_delta_in_place_for_a_drift_that_returns_its_input():
+    """Delta advances in place, bitwise Delta + dt (mu(X) - mu(X - Delta)), even for mu = id.
+
+    The identity drift hands the kernel its own argument back, so an update
+    that wrote into that argument before reading it would move Delta.
+    """
+    m = dataclasses.replace(catalog_model("linear1d"), mu=lambda x: x)
+    grid, seed, x, ys = TimeGrid(1.0, 5), 3, [0.5], np.array([[0.3], [0.45]])
+    count, sums = regularity._pair_sums(m, x, ys, grid, seed, 2, regularity._norm_only, 1, "id")
+    assert count == 2
+    want = np.zeros((len(ys), grid.N + 1))
+    for path in (sample_path(seed, grid, 1), _own_path(seed, 1, grid)):
+        X = euler_solve_many(m, [x], path)[0]  # (N+1, 1)
+        delta = x - ys
+        want[:, 0] += np.abs(delta[:, 0])
+        for k in range(1, grid.N + 1):
+            delta = delta + grid.dt * (m.mu(X[k - 1]) - m.mu(X[k - 1] - delta))
+            want[:, k] += np.abs(delta[:, 0])
+    assert np.array([s for (s,) in sums]).tobytes() == want.tobytes()
+
+
 def test_ladder_pairs_exclude_the_same_samples(caplog):
     """Both pairs of a two-row ladder drop the same divergent samples, with one warning."""
     m = _cliff_model()
@@ -196,8 +217,12 @@ def test_ball_lattice_rejects_a_radius_outside_0_inf(radius):
 
 @pytest.mark.parametrize(
     "model, radius",
-    [(catalog_model("ou_nd", d=2), 1e200), (catalog_model("linear1d", norm_state="max"), 1.7e308)],
-    ids=["euclidean-corner", "max-width"],
+    [
+        (catalog_model("ou_nd", d=2), 1e200),
+        (catalog_model("linear1d", norm_state="max"), 1.7e308),
+        (catalog_model("linear1d"), 1e308),
+    ],
+    ids=["euclidean-corner", "max-width", "euclidean-1d-width"],
 )
 def test_ball_lattice_rejects_a_radius_whose_lattice_leaves_the_floats(model, radius):
     with warnings.catch_warnings():
@@ -218,6 +243,14 @@ def test_ball_lattice_keeps_a_large_radius_whose_corner_norm_is_finite(model, ra
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert len(ball_lattice(model, radius, 3)) == points
+
+
+def test_ball_lattice_of_one_coordinate_takes_a_radius_whose_square_overflows():
+    """On R^1 the corner's norm is |radius|, not sqrt(radius * radius) = inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = ball_lattice(catalog_model("linear1d"), 1e200, 3)
+    assert pts.tolist() == [[-1e200], [0.0], [1e200]]
 
 
 @pytest.mark.parametrize(
@@ -999,6 +1032,17 @@ def test_verify_modulus_names_a_constant_that_left_the_floats(model, q, name):
             verify_modulus(
                 model, [0.5], [1.0], (1e-1, 1e-2), q, 1.5, TimeGrid(1.0, 64), 64, 0,
                 x_grid_points=3,
+            )
+
+
+def test_verify_modulus_at_a_radius_whose_square_overflows_names_K():
+    """At R = 1e200 the lattice pass runs, and K, from sup |X|^2, is inf: no report."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimatorError, match="^K = inf is not finite"):
+            verify_modulus(
+                catalog_model("linear1d"), [0.5], [1.0], (1e-1, 1e-2), 1.0, 1e200,
+                TimeGrid(1.0, 8), 16, 0, x_grid_points=3,
             )
 
 
