@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import euler_solve
-from .model import DriftModel, _count, _points, _scalar
+from .model import DriftModel, _count, _or_inf, _points, _scalar
 from .paths import BrownianPath, _check_noise
 
 __all__ = [
@@ -38,21 +38,6 @@ def _leq(lhs: float, rhs: float) -> bool:
     return lhs <= rhs + _REL_SLACK * (1.0 + abs(rhs))
 
 
-def _pow1p(beta: float, n: int) -> float:
-    """(1 + beta)^n as a float, returning inf instead of raising on overflow."""
-    try:
-        return (1.0 + beta) ** n
-    except OverflowError:
-        return math.inf
-
-
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def discrete_gronwall_bound(alpha: float, beta: float, n: int) -> tuple:
     """The two conclusion values (alpha (1+beta)^n, |alpha| e^(beta n)).
 
@@ -63,7 +48,7 @@ def discrete_gronwall_bound(alpha: float, beta: float, n: int) -> tuple:
         raise ValueError(f"alpha must be finite, got {alpha}")
     _scalar("beta", beta)
     n = _count("n", n, 0)
-    return alpha * _pow1p(beta, n), abs(alpha) * _exp(beta * n)
+    return alpha * _or_inf(pow, 1.0 + beta, n), abs(alpha) * _or_inf(math.exp, beta * n)
 
 
 @dataclass(frozen=True)
@@ -94,7 +79,7 @@ def discrete_gronwall_check(f, alpha: float, beta: float) -> GronwallCheck:
             hypothesis = False
             break
         running += fn
-    bound = all(_leq(fn, alpha * _pow1p(beta, n)) for n, fn in enumerate(f))
+    bound = all(_leq(fn, alpha * _or_inf(pow, 1.0 + beta, n)) for n, fn in enumerate(f))
     return GronwallCheck(hypothesis_holds=hypothesis, bound_holds=bound)
 
 
@@ -167,7 +152,7 @@ def apriori_bound(model: DriftModel, xi, path: BrownianPath) -> AprioriBound:
     sup_sigma_w = float(np.max(model.norm_state(path.values @ model.sigma.T)))
     sup_phi_w = float(np.max(model.phi_noise(path.values)))
     v0 = float(model.v_batch(xi[None, :])[0])
-    bound = v0 * _exp(path.grid.T * sup_phi_w) + sup_sigma_w
+    bound = v0 * _or_inf(math.exp, path.grid.T * sup_phi_w) + sup_sigma_w
     sol = euler_solve(model, xi, path)
     sup_sol = float(np.max(model.norm_state(sol.states)))
     ok = math.isfinite(bound) and sup_sol <= bound * (1.0 + 1e-6)

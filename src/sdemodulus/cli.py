@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bounds import apriori_bound
-from .errors import CatalogError, DivergenceError, EstimatorError
+from .errors import DivergenceError, EstimatorError
 from .integrator import euler_solve, solution_to_csv, solve_adaptive, verify_integral_equation
 from .model import (
     _count,
@@ -164,15 +164,15 @@ class ExperimentConfig:
             raise UsageError("a model name is required (--model or `model` in the config file)")
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
-        _scalar("T", self.T)
         try:
+            _scalar("T", self.T)
             for name, opt in _OPTIONS.items():
                 if opt["low"] is not None:
                     _count(name, getattr(self, name), opt["low"])
+            if self.tol is not None:
+                _scalar("tol", self.tol, positive=True)
         except ValueError as exc:  # a usage error, still naming the option
             raise UsageError(str(exc)) from exc
-        if self.tol is not None:
-            _scalar("tol", self.tol, positive=True)
 
     @classmethod
     def from_ini(cls, text: str, source: str = "<config>") -> "ExperimentConfig":
@@ -182,8 +182,8 @@ class ExperimentConfig:
 _OPTIONS = {f.name: f.metadata for f in dataclasses.fields(ExperimentConfig)}
 
 
-class UsageError(Exception):
-    """Bad flags or bad config file: exit status 1."""
+class UsageError(ValueError):
+    """Bad flags or bad config file.  A ValueError like every bad argument, so exit status 1."""
 
 
 _INI_KEY = re.compile(r"^\s*([^;#\[\s][^=:]*?)\s*[=:]")  # key =, never [section]
@@ -575,7 +575,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return int(code) if isinstance(code, int) else 0
-    except (UsageError, CatalogError, ValueError) as exc:  # GridMismatchError is a ValueError
+    except ValueError as exc:  # every bad argument: UsageError, CatalogError, GridMismatchError
         print(f"sdemod: error: {exc}", file=sys.stderr)
         return 1
     except EstimatorError as exc:

@@ -11,8 +11,8 @@ __all__ = [
 ]
 
 
-class CatalogError(KeyError):
-    """Requested model name is not in the catalog."""
+class CatalogError(ValueError):
+    """Requested model name is not in the catalog: a bad argument, so a ValueError."""
 
 
 class EvaluationError(RuntimeError):

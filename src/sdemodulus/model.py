@@ -108,6 +108,14 @@ def _scalar(name: str, value, positive: bool = False):
     return value
 
 
+def _or_inf(f, *args) -> float:
+    """``f(*args)``, where an overflowing Python float power or ``math.exp`` is inf, as in numpy."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
 def _count(name: str, value, low: int) -> int:
     """``int(value)`` if ``value`` is a whole number with low <= value < inf; NaN fails."""
     if not (low <= value < math.inf and int(value) == value):
@@ -271,7 +279,7 @@ def check_derivative_growth(
     if not np.isfinite(jacs).all():
         bad = pts[~np.isfinite(jacs).reshape(len(pts), -1).all(axis=1)][0]
         raise EvaluationError("mu_jac returned a non-finite value", point=bad)
-    rhs_factor = model.kappa * (1.0 + model.norm_state(pts) ** model.kappa)  # (n,)
+    rhs_factor = model.phi_state(pts)  # (n,)
     h = rng.standard_normal((len(pts), model.d))
     h /= model.norm_state(h)[:, None]
     lhs = model.norm_state(np.einsum("nij,nj->ni", jacs, h))

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import EstimatorError
 from .integrator import _euler_steps
-from .model import DriftModel, _count, _points, _scalar
+from .model import DriftModel, _count, _or_inf, _points, _scalar
 from .paths import (
     BATCH_SAMPLES,
     MCEstimate,
@@ -430,7 +430,7 @@ def _K_from_max(model, top, q, safety, seed) -> MCEstimate:
     the max gives the max of the mapped values, bitwise.
     """
     with np.errstate(over="ignore"):  # the caller names a K that overflows
-        phi = model.kappa * (1.0 + top ** model.kappa)  # phi_state at the max
+        phi = model.phi_state(top[:, None])  # a norm on R^1 is |x|, and |top| is top bitwise
         ests = [_mc_from_samples(a, seed) for a in (phi ** (4.0 * q + 4.0), top * top)]
     mean = max(e.mean for e in ests)
     se = max(e.std_error for e in ests)
@@ -528,10 +528,9 @@ def theoretical_constant(K: float, q: float, T: float) -> ModulusConstants:
     _scalar("q", q)
     _scalar("T", T)
     expo = 4.0 * q + 4.0
-    try:
-        kcal = 1.0 + 2.0 ** expo * (abs(math.log(2.0 + math.exp(q))) ** expo + T ** expo * K)
-    except OverflowError:  # a Python float power or exp raises where numpy gives inf
-        kcal = math.inf
+    kcal = _or_inf(
+        lambda: 1.0 + 2.0 ** expo * (abs(math.log(2.0 + math.exp(q))) ** expo + T ** expo * K)
+    )
     return ModulusConstants(Kcal=kcal, c_local=2.0 * math.sqrt((1.0 + 4.0 * K) * kcal))
 
 
@@ -542,10 +541,7 @@ def global_bound_constant(c_local: float, C: float, R: float, q: float) -> float
             raise ValueError(f"{name} must be >= 0, got {value}")
     _scalar("R", R)
     _scalar("q", q)
-    try:
-        return max(c_local, 2.0 * C * abs(math.log(2.0 * R + 1.0)) ** q)
-    except OverflowError:
-        return math.inf
+    return _or_inf(lambda: max(c_local, 2.0 * C * abs(math.log(2.0 * R + 1.0)) ** q))
 
 
 @dataclass(frozen=True)

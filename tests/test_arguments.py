@@ -11,6 +11,7 @@ The last table holds the remaining rejections, each with its whole message.
 """
 
 import dataclasses
+import inspect
 import math
 import re
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import sdemodulus
-from sdemodulus import paths
+from sdemodulus import model, paths
 from sdemodulus.bounds import (
     discrete_gronwall_bound,
     discrete_gronwall_check,
@@ -305,5 +306,25 @@ def test_no_count_or_array_check_is_written_by_hand():
         for path in sorted(Path(sdemodulus.__file__).parent.glob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if _HAND_WRITTEN_CHECK.search(line)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "pattern, owner",
+    [
+        pytest.param(r"except OverflowError", lambda: model._or_inf, id="overflow-is-inf"),
+        pytest.param(r"\bkappa \* \(1\.0 \+", lambda: model.DriftModel.phi_state, id="phi"),
+    ],
+)
+def test_a_rule_with_one_owner_is_written_only_there(pattern, owner):
+    """An overflowing float power or exp is inf in model._or_inf alone; phi is written once."""
+    lines, first = inspect.getsourcelines(owner())
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(sdemodulus.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(pattern, line)
+        and not (path.name == "model.py" and first <= number < first + len(lines))
     ]
     assert found == []

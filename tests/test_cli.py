@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -139,6 +140,10 @@ def test_config_validate_rejects_bad_ranges():
         ExperimentConfig(model="zero", samples=0).validate()
     with pytest.raises(UsageError):
         ExperimentConfig(model="zero", format="xml").validate()
+    with pytest.raises(UsageError, match="^T must be finite"):
+        ExperimentConfig(model="zero", T=math.nan).validate()
+    with pytest.raises(UsageError, match="^tol must be finite and positive"):
+        ExperimentConfig(model="zero", tol=-1.0).validate()
 
 
 @pytest.mark.parametrize(
@@ -174,8 +179,12 @@ def test_main_missing_model():
     assert main(["solve"]) == 1
 
 
-def test_main_unknown_model():
+def test_main_unknown_model(capsys):
     assert main(["solve", "--model", "nope"]) == 1
+    assert capsys.readouterr().err == (
+        "sdemod: error: unknown model 'nope'; known: ('zero', 'linear1d', 'ou_nd', "
+        "'oscillatory1d', 'cubic_deterministic', 'bounded_tanh')\n"
+    )
 
 
 def test_main_bad_config_path():

@@ -307,6 +307,15 @@ def test_estimate_K_stable_under_doubling():
     assert abs(a.mean - b.mean) <= 0.1 * max(a.mean, b.mean) + 3.0 * (a.std_error + b.std_error)
 
 
+def test_estimate_K_golden_at_a_fractional_kappa_in_two_dimensions():
+    """K repeats bitwise where phi's exponent is not whole and the state has two coordinates."""
+    m = catalog_model("ou_nd", d=2, kappa=2.5)
+    k = estimate_K(m, 1.5, 0.75, TimeGrid(1.0, 32), 300, 5, x_grid_points=5)
+    assert (float.hex(k.mean), float.hex(k.std_error)) == (
+        "0x1.d9503560478cfp+37", "0x1.149137856e538p+35",
+    )
+
+
 def test_estimate_K_validation():
     m = catalog_model("zero")
     grid = TimeGrid(1.0, 8)
@@ -1086,6 +1095,11 @@ def test_constants_overflow_to_inf():
     assert theoretical_constant(1.0, 200.0, 1.0).Kcal == math.inf
     assert theoretical_constant(1.0, 200.0, 1.0).c_local == math.inf
     assert global_bound_constant(1.0, 1.0, 1e300, 1e3) == math.inf
+
+
+def test_global_bound_constant_whose_power_overflows_is_inf():
+    """|ln(2e300 + 1)|^400 overflows a Python float power; the constant is inf, not an error."""
+    assert global_bound_constant(1.0, 1.0, 1e300, 400.0) == math.inf
 
 
 def test_verify_modulus_report_roundtrip(tmp_path):
