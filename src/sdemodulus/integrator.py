@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -85,45 +84,42 @@ def euler_solve(model: DriftModel, x0, path: BrownianPath) -> SolutionPath:
     return SolutionPath(path.grid, euler_solve_many(model, x0[None, :], path)[0], x0, path.seed)
 
 
-def _euler_steps(model: DriftModel, X: np.ndarray, dt: float, sigma_w, rows=None):
+def _euler_steps(model: DriftModel, X: np.ndarray, dt: float, sigma_w):
     """Yield (mu(X_n), X_{n+1}) from n = 0, one step per item sigma W(t_{n+1}) of ``sigma_w``.
 
     The package's one Euler step, in Z = X - sigma W: Z starts at X, since
     W(0) = 0, and gains dt mu(X_n) per step.  A non-finite z stays
     non-finite, whatever mu returns, so callers check finiteness once, after
-    the last step.  With ``rows``, X_{n+1} is written into their n-th item;
-    without, each state is a new array.  Either first holds dt mu(X_n), so a
-    step needs no scratch array.  mu(X_n) is only read, since a drift may
-    return its input.  An ensemble's ``sigma_w`` items have X's shape: numpy
-    cannot merge the loop axes of an operand broadcast over a middle axis,
-    so with a short last axis (d = 2) the add runs one inner loop of length
-    d per row and takes about 5x as long as with a full contiguous operand.
-    ``euler_solve_many`` passes (d,) items, which its few rows broadcast.
+    the last step.  Every item is a writable, C-contiguous array of X's
+    shape, which the step overwrites with X_{n+1} and yields.  mu(X_n) is
+    only read, since a drift may return its input.  Items have X's shape
+    because numpy cannot merge the loop axes of an operand broadcast over a
+    middle axis: with a short last axis (d = 2) the add of a broadcast noise
+    row runs one inner loop of length d per row, about 5x as long as with a
+    full contiguous operand, and on a (32, 1) state it still takes 2x.
 
     One trajectory of one coordinate, X of shape (1, 1), steps on Python
     floats: z = z + dt * mu and x = z + sigma W, with mu still from one
-    ``mu_batch`` call on a (1, 1) array per step and the noise read by
-    ``.item()`` from a (1,) or (1, 1) item.  Those are numpy's float64 ``*``
-    and ``+`` in numpy's order, so every state is bitwise the array path's,
-    signed zeros, inf and NaN included, and a step saves the three numpy
-    calls that cost more than its arithmetic.
+    ``mu_batch`` call on a (1, 1) array per step and x written into the
+    item's one entry.  Those are numpy's float64 ``*`` and ``+`` in numpy's
+    order, so every state is bitwise the array path's, signed zeros, inf
+    and NaN included, and a step saves the three numpy calls that cost more
+    than its arithmetic.
     """
-    rows = repeat(None) if rows is None else rows
     if X.shape == (1, 1):
         z, dt = X.item(), float(dt)
-        for sw, row in zip(sigma_w, rows):
+        for sw in sigma_w:
             mu = model.mu_batch(X)
             z = z + dt * mu.item()
-            X = np.empty((1, 1)) if row is None else row
-            X[0, 0] = z + sw.item()
+            sw[0, 0] = z + sw.item()
+            X = sw
             yield mu, X
         return
     z = X.copy()
-    for sw, row in zip(sigma_w, rows):
+    for sw in sigma_w:
         mu = model.mu_batch(X)
-        X = np.multiply(dt, mu, row)  # out given by position, a little cheaper per call
-        z += X
-        np.add(z, sw, X)
+        z += dt * mu
+        X = np.add(z, sw, sw)  # out given by position, a little cheaper per call
         yield mu, X
 
 
@@ -136,13 +132,15 @@ def euler_solve_many(model: DriftModel, x0s: np.ndarray, path: BrownianPath) -> 
 
     The path remembers every row it has driven, keyed by the model object
     and the start's bytes, and holds the model so that its id is not reused.
-    Only the starts it has not seen step, each once, in one node-major batch
-    (each step writes one contiguous row); the others are copied.  That is
-    bitwise, since a row reads only itself and sigma W: with a drift that
-    maps each point alone, as every catalog drift does, a row's floats do
-    not depend on its batch.  A batch is remembered only once all its states
-    are finite, so a divergent start steps, and raises at the same step, on
-    every call.
+    Only the starts it has not seen step, each once, in one node-major batch.
+    Node n of that batch first holds the path's sigma W(t_n), repeated over
+    its starts, and is then overwritten by the step to X_n, so each step
+    adds two contiguous operands of the state's shape in memory the result
+    already holds.  The others are copied.  That is bitwise, since a row
+    reads only itself and sigma W: with a drift that maps each point alone,
+    as every catalog drift does, a row's floats do not depend on its batch.
+    A batch is remembered only once all its states are finite, so a
+    divergent start steps, and raises at the same step, on every call.
     """
     _check_noise(model, path)
     x0s = _points(x0s, model.d, "x0s", stack=True)
@@ -153,9 +151,9 @@ def euler_solve_many(model: DriftModel, x0s: np.ndarray, path: BrownianPath) -> 
         N = path.grid.N
         out = np.empty((N + 1, len(new), model.d))
         out[0] = list(new.values())
-        sigw = path.values @ model.sigma.T  # (N+1, d)
+        out[1:] = (path.values @ model.sigma.T)[1:, None, :]  # sigma W, (N, 1, d)
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in _euler_steps(model, out[0], path.grid.dt, sigw[1:], out[1:]):
+            for _ in _euler_steps(model, out[0], path.grid.dt, out[1:]):
                 pass
         bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
         if len(bad):

@@ -173,8 +173,8 @@ def _ensemble(model, starts, grid, seed, n_samples, threads, reducer, what):
     and advance by ``_euler_steps``, so sample 0 follows ``sample_path(seed)``
     bitwise.  ``reducer(X)`` builds a reducer from a batch's node-0 block X,
     of shape (B,) + starts.shape.  Each step's noise sigma W, of shape
-    (B, d), is repeated over the L starts into a contiguous array of X's
-    shape, as ``_euler_steps`` asks; the add stays elementwise, so bitwise.
+    (B, d), is repeated over the L starts into a fresh contiguous array of
+    X's shape, which ``_euler_steps`` overwrites with that step's state.
 
     A sample is excluded whole iff its Z or its Delta left the floats.  Neither
     returns to the floats, so both are read once, after the last step; a check
@@ -528,20 +528,19 @@ def theoretical_constant(K: float, q: float, T: float) -> ModulusConstants:
     _scalar("q", q)
     _scalar("T", T)
     expo = 4.0 * q + 4.0
-    kcal = _or_inf(
-        lambda: 1.0 + 2.0 ** expo * (abs(math.log(2.0 + math.exp(q))) ** expo + T ** expo * K)
-    )
+    t_term = _or_inf(pow, T, expo) * K if K else 0.0  # 0 at K = 0, even if T^(4q+4) overflows
+    kcal = _or_inf(lambda: 1.0 + 2.0 ** expo * (abs(math.log(2.0 + math.exp(q))) ** expo + t_term))
     return ModulusConstants(Kcal=kcal, c_local=2.0 * math.sqrt((1.0 + 4.0 * K) * kcal))
 
 
 def global_bound_constant(c_local: float, C: float, R: float, q: float) -> float:
-    """max(c_local, 2 C |ln(2R+1)|^q), or inf on overflow: the constant for all separations != 1."""
+    """max(c_local, 2 C |ln(2R+1)|^q), inf on overflow at C > 0: constant for separations != 1."""
     for name, value in (("c_local", c_local), ("C", C)):
         if not value >= 0.0:  # inf passes, as in theoretical_constant
             raise ValueError(f"{name} must be >= 0, got {value}")
     _scalar("R", R)
     _scalar("q", q)
-    return _or_inf(lambda: max(c_local, 2.0 * C * abs(math.log(2.0 * R + 1.0)) ** q))
+    return max(c_local, 2.0 * C * _or_inf(pow, abs(math.log(2.0 * R + 1.0)), q) if C else 0.0)
 
 
 @dataclass(frozen=True)

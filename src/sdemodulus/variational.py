@@ -173,7 +173,8 @@ def pathwise_distance_bound(
         return y[None, :] + us[:, None] * (x - y)[None, :]  # row 0 is y
 
     def segment_rhs(states) -> float:
-        sup_phi = np.max(model.phi_state(states), axis=1)  # (L,)
+        # phi is non-decreasing in floats and a norm on R^1 is |x|: each row's largest phi, bitwise
+        sup_phi = model.phi_state(np.max(model.norm_state(states), axis=1)[:, None])  # (L,)
         with np.errstate(over="ignore"):
             return float(np.max(dist0 * np.exp(path.grid.T * sup_phi)))
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import sdemodulus.integrator as integrator
+import sdemodulus.regularity as regularity
 from sdemodulus import (
     DivergenceError,
     DriftModel,
@@ -25,6 +26,7 @@ from sdemodulus import (
     apriori_bound,
     catalog_model,
     catalog_names,
+    estimate_distance,
     euler_solve,
     euler_solve_many,
     pathwise_distance_bound,
@@ -137,6 +139,46 @@ def test_a_check_bounds_draw_solves_xi_once(monkeypatch):
         assert results[order.index(1)].u_grid_used == 5  # no refine, which solves its own grid
         fresh = euler_solve(m, xi, sample_path(41, g, 1))
         assert np.array_equal(results[order.index(2)].states, fresh.states)
+
+
+@pytest.mark.parametrize("name, d, run", [
+    ("oscillatory1d", None, "pathwise"),
+    ("ou_nd", 2, "pathwise"),
+    ("oscillatory1d", None, "one start"),
+    ("ou_nd", 2, "ensemble"),
+])
+def test_each_step_writes_its_state_into_its_noise_item(name, d, run, monkeypatch):
+    """Every sigma W item has X's shape, is C-contiguous, and is yielded as the next state.
+
+    A (d,) noise row broadcast over a batch makes each add about twice as slow at d = 1.
+    """
+    seen = []
+    euler_steps = integrator._euler_steps
+
+    def spy(model, X, dt, sigma_w):
+        fed = []
+
+        def items():
+            for sw in sigma_w:
+                fed.append(sw)
+                yield sw
+
+        for mu, nxt in euler_steps(model, X, dt, items()):
+            sw = fed[-1]
+            seen.append(sw.shape == X.shape and sw.flags.c_contiguous and sw is nxt)
+            yield mu, nxt
+
+    monkeypatch.setattr(integrator, "_euler_steps", spy)
+    monkeypatch.setattr(regularity, "_euler_steps", spy)
+    m, g = catalog_model(name, d=d), TimeGrid(1.0, 16)
+    x, y = np.full(m.d, 0.7), np.full(m.d, -1.2)
+    if run == "pathwise":
+        assert pathwise_distance_bound(m, x, y, sample_path(44, g, m.m), u_grid=5).u_grid_used == 5
+    elif run == "one start":
+        euler_solve(m, x, sample_path(44, g, m.m))
+    else:
+        estimate_distance(m, x, y, g, 6, 44)
+    assert len(seen) == g.N and all(seen)
 
 
 def test_another_model_object_or_path_object_solves_again(monkeypatch):

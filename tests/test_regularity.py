@@ -556,13 +556,13 @@ def test_ensemble_noise_has_the_state_shape_and_is_contiguous(monkeypatch):
     seen = []
     euler_steps = regularity._euler_steps
 
-    def spy(model, X, dt, sigma_w, rows=None):
+    def spy(model, X, dt, sigma_w):
         def items():
             for sw in sigma_w:
                 seen.append((X.shape, sw.shape, sw.flags.c_contiguous))
                 yield sw
 
-        return euler_steps(model, X, dt, items(), rows)
+        return euler_steps(model, X, dt, items())
 
     monkeypatch.setattr(regularity, "_euler_steps", spy)
     model, grid = catalog_model("ou_nd", d=2), TimeGrid(1.0, 8)
@@ -1100,6 +1100,14 @@ def test_constants_overflow_to_inf():
 def test_global_bound_constant_whose_power_overflows_is_inf():
     """|ln(2e300 + 1)|^400 overflows a Python float power; the constant is inf, not an error."""
     assert global_bound_constant(1.0, 1.0, 1e300, 400.0) == math.inf
+
+
+def test_an_overflowing_power_times_a_zero_constant_is_zero():
+    """T^(4q+4) K at K = 0 and 2 C |ln(2R+1)|^q at C = 0 are 0, even where the power overflows."""
+    zero_K = theoretical_constant(0.0, 1.0, 1e100)
+    assert (zero_K.Kcal, zero_K.c_local) == (8593.714801049804, 185.40458247896467)
+    assert zero_K == theoretical_constant(0.0, 1.0, 1.0)
+    assert global_bound_constant(1.0, 0.0, 1e300, 400.0) == 1.0
 
 
 def test_verify_modulus_report_roundtrip(tmp_path):

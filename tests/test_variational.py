@@ -21,8 +21,10 @@ from sdemodulus import (
     TimeGrid,
     VariationalPath,
     catalog_model,
+    catalog_names,
     derive_seed,
     euler_solve,
+    euler_solve_many,
     finite_difference_profile,
     growth_bound_check,
     pathwise_distance_bound,
@@ -312,6 +314,50 @@ def test_pathwise_failed_comparison_refines_the_segment_once():
     assert res.ok is False
     assert res.lhs == pytest.approx(0.25 * (1.0 + 1.0 / 64) ** 64, rel=1e-14)
     assert res.rhs == 0.25
+
+
+def _rhs_reference(model, x, y, path, u_grids) -> float:
+    """The rhs as the maximum over rows of phi at every node: phi once per node, no shortcut."""
+    x, y = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
+    dist0 = float(model.norm_state(x - y))
+    rhs = []
+    for n in u_grids:
+        us = np.linspace(0.0, 1.0, n)
+        states = euler_solve_many(model, y[None, :] + us[:, None] * (x - y)[None, :], path)
+        sup_phi = np.max(model.phi_state(states), axis=1)
+        with np.errstate(over="ignore"):
+            rhs.append(float(np.max(dist0 * np.exp(path.grid.T * sup_phi))))
+    return max(rhs)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [catalog_model(n) for n in catalog_names()]
+    + [catalog_model("ou_nd", d=2, norm_state=k) for k in ("max", "one")]  # and euclidean above
+    + [catalog_model("ou_nd", d=2, kappa=2.5), catalog_model("oscillatory1d", kappa=2.5)],
+    ids=lambda m: f"{m.name}-d{m.d}-{m.norm_state.kind}-kappa{m.kappa}",
+)
+def test_pathwise_rhs_is_bitwise_phi_at_every_node(model):
+    """phi of each row's largest norm is each row's largest phi, bit for bit."""
+    grid = TimeGrid(1.0, 64)
+    rng = np.random.default_rng(17)
+    for i in range(4):
+        x, y = rng.uniform(-2.0, 2.0, model.d), rng.uniform(-2.0, 2.0, model.d)
+        seed = derive_seed(9, i)
+        res = pathwise_distance_bound(model, x, y, sample_path(seed, grid, model.m), u_grid=9)
+        assert res.u_grid_used == 9
+        assert res.rhs == _rhs_reference(model, x, y, sample_path(seed, grid, model.m), [9])
+
+
+def test_pathwise_rhs_of_a_refined_segment_is_bitwise_phi_at_every_node():
+    """mu(x) = x outgrows phi = 0.25 (1 + |x|^0.25), so the grid doubles; both grids count."""
+    m = dataclasses.replace(
+        catalog_model("linear1d"), mu=lambda x: np.asarray(x, dtype=float), kappa=0.25
+    )
+    grid = TimeGrid(1.0, 64)
+    res = pathwise_distance_bound(m, 1.5, -0.5, sample_path(3, grid, 1), u_grid=9)
+    assert res.u_grid_used == 17
+    assert res.rhs == _rhs_reference(m, 1.5, -0.5, sample_path(3, grid, 1), [9, 17])
 
 
 def test_pathwise_rhs_that_is_not_finite_is_not_ok():
